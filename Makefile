@@ -57,8 +57,8 @@ benchsmoke-survive:
 
 # Query-plane smoke: the lock-free snapshot reads (scalar queries, the
 # pooled load-vector copy, per-id lookups) and the four-reader
-# concurrent read/write driver against the mutex baseline, at two
-# GOMAXPROCS settings, so the snapshot publication path cannot rot.
+# concurrent read/write driver, at two GOMAXPROCS settings, so the
+# snapshot publication path cannot rot.
 benchsmoke-snapshot:
 	$(GO) test -run=NONE -bench='SnapshotQuery|SnapshotReaders' -benchtime=1x -cpu=1,4 ./...
 

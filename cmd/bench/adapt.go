@@ -11,6 +11,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"wavedag/internal/digraph"
@@ -21,8 +22,10 @@ import (
 
 // adaptBenches builds the sweep: per-event churn cost under drifting
 // vs uniform load, static subshard=64 layout vs the adaptive plane,
-// plus the budgeted admission pair (fixed band split vs adaptive
-// banding) with accept% and the λ <= w invariant checked at the end.
+// plus the budgeted admission entries — fixed band split, re-splitting
+// alone, and re-splitting with adaptive banding, so banding's own
+// effect is the resplit-to-banded delta — with accept% and the λ <= w
+// invariant checked at the end.
 func adaptBenches(seed int64) []bench {
 	topo := gen.LayeredDAG(15, 20, 0.25, 77)
 	label := fmt.Sprintf("layered-n=%d", topo.NumVertices())
@@ -62,6 +65,9 @@ func adaptBenches(seed int64) []bench {
 	benches = append(benches,
 		adaptAdmissionBench(fmt.Sprintf("adapt/admission/%s/mode=static", label),
 			topo, drift, 300, 32, budget, base()...),
+		adaptAdmissionBench(fmt.Sprintf("adapt/admission/%s/mode=resplit", label),
+			topo, drift, 300, 32, budget, append(base(),
+				wdm.WithRegionResplit(), wdm.WithAdaptiveConfig(cfg))...),
 		adaptAdmissionBench(fmt.Sprintf("adapt/admission/%s/mode=banded", label),
 			topo, drift, 300, 32, budget, append(base(),
 				wdm.WithAdaptiveBanding(), wdm.WithRegionResplit(), wdm.WithAdaptiveConfig(cfg))...))
@@ -130,7 +136,9 @@ func adaptChurnBench(name string, g *digraph.Digraph, pool []route.Request, live
 
 // adaptAdmissionBench is the budgeted counterpart: blocked arrivals
 // hold nothing, accept% comes from EngineStats, and the run fails if
-// the merged coloring ever needs more than the budget.
+// the merged coloring ever needs more than the budget. Each batch
+// stages at most one remove per held id (a probe that lands on a slot
+// already staged walks to the next free one).
 func adaptAdmissionBench(name string, g *digraph.Digraph, pool []route.Request, liveTarget, batchSize, budget int, opts ...wdm.ShardedOption) bench {
 	return bench{name, func(b *testing.B) {
 		b.ReportAllocs()
@@ -148,8 +156,11 @@ func adaptAdmissionBench(name string, g *digraph.Digraph, pool []route.Request, 
 		slots := make([]int, 0, batchSize/2)
 		results := make([]wdm.BatchResult, 0, batchSize)
 		step := func(i int) {
-			if len(ids) > 0 {
+			if len(ids) > len(slots) {
 				k := (i * 17) % len(ids)
+				for slices.Contains(slots, k) {
+					k = (k + 1) % len(ids)
+				}
 				ops = append(ops, wdm.RemoveOp(ids[k]))
 				slots = append(slots, k)
 			}
@@ -171,7 +182,12 @@ func adaptAdmissionBench(name string, g *digraph.Digraph, pool []route.Request, 
 					}
 				}
 				// Replace the removed slots with fresh arrivals, then
-				// grow or shrink toward the live target.
+				// grow or shrink toward the live target. Slots go in
+				// descending order so a swap-delete only ever pulls in
+				// a held id from the tail: every slot above k has been
+				// refilled or cut off already.
+				slices.Sort(slots)
+				slices.Reverse(slots)
 				for _, k := range slots {
 					if len(fresh) > 0 {
 						ids[k] = fresh[len(fresh)-1]

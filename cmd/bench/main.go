@@ -10,15 +10,15 @@
 // -survive adds the survivability sweep (fiber-cut churn over a 3-point
 // MTBF axis plus the sharded-engine counterpart); its snapshots land in
 // BENCH_PR6.json. -readers sets the reader-goroutine axis of the
-// query-plane sweep (lock-free snapshot reads vs mutex-serialised
-// ...Strong reads under write churn); its snapshots land in
-// BENCH_PR7.json. -serve adds the serving front-end sweep (open-loop
-// Poisson load at {0.5, 1, 2}× measured capacity, shedding on vs
-// blocking backpressure); its snapshots land in BENCH_PR8.json. -adapt
-// adds the self-tuning layout sweep (drifting-hotspot churn, static
-// subshard layout vs adaptive re-splitting, plus the budgeted
-// admission pair with adaptive banding); its snapshots land in
-// BENCH_PR10.json.
+// query-plane sweep (lock-free snapshot reads under write churn;
+// BENCH_PR7.json also holds the since-deleted mutex-read baseline).
+// -serve adds the serving front-end sweep (open-loop Poisson load at
+// {0.5, 1, 2}× measured capacity, shedding on vs blocking
+// backpressure); no snapshot of it is committed. -adapt adds the
+// self-tuning layout sweep (drifting-hotspot churn, static subshard
+// layout vs adaptive re-splitting, plus the budgeted admission entries:
+// static bands, re-splitting alone, and re-splitting with adaptive
+// banding); its snapshots land in BENCH_PR10.json.
 //
 // The E-suite entries mirror bench_test.go so snapshots line up with
 // `go test -bench=.`; the large entries (Theorem 1 at n=500/paths=5000,
@@ -387,9 +387,8 @@ func suite(large, survive, serveSweep, adapt bool, cpus, subshards, readers []in
 	}
 
 	// Query-plane sweep (small): concurrent readers against the
-	// lock-free snapshot API vs the mutex-serialised ...Strong reads
-	// while the writer churns 64-event batches — reader QPS, read
-	// p50/p99 and writer ns/event, head to head per reader count.
+	// lock-free snapshot API while the writer churns 64-event batches —
+	// reader QPS, read p50/p99 and writer ns/event per reader count.
 	{
 		g := multiShard(4, 40, 21)
 		pool := route.NewRouter(g).AllToAll()

@@ -1,9 +1,8 @@
 // Query-plane workload driver: N reader goroutines hammer the engine's
-// read API while the benchmark loop churns batches through it — the
-// head-to-head between the lock-free snapshot reads and the
-// mutex-serialised ...Strong reads PR 6 shipped. ns/op is the writer's
-// cost per churn event; reader throughput and latency land in Extra as
-// "reads/s", "read_p50_ns" and "read_p99_ns".
+// lock-free snapshot reads while the benchmark loop churns batches
+// through it. ns/op is the writer's cost per churn event; reader
+// throughput and latency land in Extra as "reads/s", "read_p50_ns" and
+// "read_p99_ns".
 package main
 
 import (
@@ -21,31 +20,25 @@ import (
 	"wavedag/internal/wdm"
 )
 
-// queryPlaneBenches builds the reader-count sweep for one topology:
-// for every N in readerCounts, a mutex entry (readers call the
-// ...Strong API and contend with the writer on the engine mutex) and a
-// snapshot entry (readers use the lock-free published-snapshot API).
-// N=0 isolates the writer's own cost under each mode — both run the
-// identical write path, so the pair should agree.
+// queryPlaneBenches builds the reader-count sweep for one topology: one
+// entry per N in readerCounts. N=0 isolates the writer's own cost.
 func queryPlaneBenches(label string, g *digraph.Digraph, pool []route.Request, liveTarget, batchSize int, readerCounts []int, seed int64) []bench {
 	var benches []bench
 	for _, n := range readerCounts {
-		for _, mode := range []string{"mutex", "snapshot"} {
-			benches = append(benches, queryPlaneBench(
-				fmt.Sprintf("qread/%s/%s/readers=%d", mode, label, n),
-				mode, g, pool, liveTarget, batchSize, n, seed))
-		}
+		benches = append(benches, queryPlaneBench(
+			fmt.Sprintf("qread/snapshot/%s/readers=%d", label, n),
+			g, pool, liveTarget, batchSize, n, seed))
 	}
 	return benches
 }
 
-// queryPlaneBench runs one (mode, readers) cell. Each reader round is
+// queryPlaneBench runs one readers cell. Each reader round is
 // four queries — Stats, the full load vector, a Path lookup on a
 // pre-fill probe id (stale ids must answer ErrUnknownSession), and Pi —
 // with every 32nd round timed into a bounded sample buffer for the
 // percentiles. The writer replays the same churn trace as the sharded
 // churn benchmarks, batched through ApplyBatchInto.
-func queryPlaneBench(name, mode string, g *digraph.Digraph, pool []route.Request, liveTarget, batchSize, readers int, seed int64) bench {
+func queryPlaneBench(name string, g *digraph.Digraph, pool []route.Request, liveTarget, batchSize, readers int, seed int64) bench {
 	return bench{name, func(b *testing.B) {
 		b.ReportAllocs()
 		net := &wdm.Network{Topology: g}
@@ -131,18 +124,10 @@ func queryPlaneBench(name, mode string, g *digraph.Digraph, pool []route.Request
 					if timed {
 						t0 = time.Now()
 					}
-					var perr error
-					if mode == "snapshot" {
-						_ = eng.Stats()
-						buf = eng.ArcLoadsInto(buf)
-						_, perr = eng.Path(id)
-						_ = eng.Pi()
-					} else {
-						_ = eng.StatsStrong()
-						buf = eng.ArcLoadsStrong()
-						_, perr = eng.PathStrong(id)
-						_ = eng.PiStrong()
-					}
+					_ = eng.Stats()
+					buf = eng.ArcLoadsInto(buf)
+					_, perr := eng.Path(id)
+					_ = eng.Pi()
 					if perr != nil && !errors.Is(perr, wdm.ErrUnknownSession) {
 						b.Error(perr)
 						return

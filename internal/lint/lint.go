@@ -11,8 +11,7 @@ import (
 
 // Directive names. Directives are magic comments of the form
 // "//wavedag:<name> [args]" (no space after //, like //go:build). A
-// directive in a declaration's doc comment applies to the declaration;
-// a directive trailing a statement applies to that source line.
+// directive in a declaration's doc comment applies to the declaration.
 const (
 	// DirLockfree marks a function as part of the lock-free read
 	// plane: it must not block, allocate, or call in-module functions
@@ -21,10 +20,6 @@ const (
 	// DirAllowAlloc waives the allocation checks of DirLockfree for
 	// one function (grow paths, translation buffers).
 	DirAllowAlloc = "allow-alloc"
-	// DirAllowBlocking, on a line, waives the blocking/callee checks
-	// of DirLockfree for the calls on that line (documented fallbacks
-	// to a mutex-serialised path).
-	DirAllowBlocking = "allow-blocking"
 	// DirPoolHandoff waives the Get/Put pairing check: the function
 	// hands the pooled or pinned object to its caller (or to a
 	// published structure) instead of returning it itself.
@@ -127,17 +122,11 @@ type constBlock struct {
 	Arg  string // registration function name
 }
 
-type lineKey struct {
-	file string
-	line int
-}
-
 // Corpus is the set of type-checked module packages plus the
 // cross-package indexes the analyzers share: the function/method
 // declaration table keyed by canonical name (annotation propagation
 // works across per-package type-check runs, where *types.Func
-// identities differ), the line-directive table, and the annotated
-// const blocks.
+// identities differ) and the annotated const blocks.
 type Corpus struct {
 	Fset     *token.FileSet
 	Packages []*Package
@@ -145,7 +134,6 @@ type Corpus struct {
 	modulePaths map[string]bool
 	funcs       map[string]*FuncInfo
 	decls       []*FuncInfo
-	lineDirs    map[lineKey]map[string]string
 	constBlocks []constBlock
 }
 
@@ -154,7 +142,6 @@ func newCorpus(fset *token.FileSet) *Corpus {
 		Fset:        fset,
 		modulePaths: map[string]bool{},
 		funcs:       map[string]*FuncInfo{},
-		lineDirs:    map[lineKey]map[string]string{},
 	}
 }
 
@@ -190,20 +177,6 @@ func directivesFromDoc(doc *ast.CommentGroup) map[string]string {
 func (c *Corpus) index() {
 	for _, p := range c.Packages {
 		for _, f := range p.Files {
-			for _, cg := range f.Comments {
-				for _, cm := range cg.List {
-					name, args, ok := parseDirective(cm.Text)
-					if !ok {
-						continue
-					}
-					pos := c.Fset.Position(cm.Pos())
-					key := lineKey{pos.Filename, pos.Line}
-					if c.lineDirs[key] == nil {
-						c.lineDirs[key] = map[string]string{}
-					}
-					c.lineDirs[key][name] = args
-				}
-			}
 			for _, decl := range f.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
@@ -273,18 +246,6 @@ func (c *Corpus) FuncFor(f *types.Func) *FuncInfo {
 // module packages (as opposed to the standard library).
 func (c *Corpus) inModule(obj types.Object) bool {
 	return obj != nil && obj.Pkg() != nil && c.modulePaths[obj.Pkg().Path()]
-}
-
-// lineWaiver reports whether the line holding pos carries the named
-// directive.
-func (c *Corpus) lineWaiver(pos token.Pos, dir string) bool {
-	p := c.Fset.Position(pos)
-	dirs, ok := c.lineDirs[lineKey{p.Filename, p.Line}]
-	if !ok {
-		return false
-	}
-	_, ok = dirs[dir]
-	return ok
 }
 
 // ── Shared AST/type helpers ────────────────────────────────────────────

@@ -16,11 +16,10 @@ import (
 // literals, closures). Plain value struct literals are permitted: they
 // stay on the stack. Calls into the standard library are trusted
 // (sync lock primitives excepted) — error construction on failure
-// paths is the intended use. Escape hatches: //wavedag:allow-alloc on
-// the function waives the allocation checks (grow paths, translation
-// buffers); //wavedag:allow-blocking trailing a line waives the
-// blocking/callee checks for that line (documented fallbacks to a
-// mutex-serialised strong read).
+// paths is the intended use. The one escape hatch is
+// //wavedag:allow-alloc on the function, which waives the allocation
+// checks (grow paths, translation buffers); nothing waives the blocking
+// and callee checks.
 var lockfreeAnalyzer = &Analyzer{
 	Name: "lockfree",
 	Doc:  "functions marked //wavedag:lockfree must not block, allocate, or call unannotated in-module code",
@@ -40,12 +39,10 @@ func checkLockfreeBody(c *Corpus, fi *FuncInfo, report func(pos token.Pos, forma
 	info := fi.Pkg.Info
 	name := fi.Obj.Name()
 
-	blockingWaived := func(pos token.Pos) bool { return c.lineWaiver(pos, DirAllowBlocking) }
-
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
-			checkLockfreeCall(c, info, name, x, allowAlloc, blockingWaived, report)
+			checkLockfreeCall(c, info, name, x, allowAlloc, report)
 		case *ast.CompositeLit:
 			if allowAlloc {
 				return true
@@ -63,9 +60,7 @@ func checkLockfreeBody(c *Corpus, fi *FuncInfo, report func(pos token.Pos, forma
 					report(x.Pos(), "%s is lock-free but takes the address of a composite literal (heap allocation)", name)
 				}
 			case token.ARROW:
-				if !blockingWaived(x.Pos()) {
-					report(x.Pos(), "%s is lock-free but receives from a channel", name)
-				}
+				report(x.Pos(), "%s is lock-free but receives from a channel", name)
 			}
 		case *ast.FuncLit:
 			if !allowAlloc {
@@ -73,13 +68,9 @@ func checkLockfreeBody(c *Corpus, fi *FuncInfo, report func(pos token.Pos, forma
 			}
 			return false // do not descend: the closure runs elsewhere
 		case *ast.SendStmt:
-			if !blockingWaived(x.Pos()) {
-				report(x.Pos(), "%s is lock-free but sends on a channel", name)
-			}
+			report(x.Pos(), "%s is lock-free but sends on a channel", name)
 		case *ast.SelectStmt:
-			if !blockingWaived(x.Pos()) {
-				report(x.Pos(), "%s is lock-free but contains a select statement", name)
-			}
+			report(x.Pos(), "%s is lock-free but contains a select statement", name)
 		case *ast.GoStmt:
 			report(x.Pos(), "%s is lock-free but starts a goroutine", name)
 		}
@@ -87,7 +78,7 @@ func checkLockfreeBody(c *Corpus, fi *FuncInfo, report func(pos token.Pos, forma
 	})
 }
 
-func checkLockfreeCall(c *Corpus, info *types.Info, name string, call *ast.CallExpr, allowAlloc bool, waived func(token.Pos) bool, report func(pos token.Pos, format string, args ...any)) {
+func checkLockfreeCall(c *Corpus, info *types.Info, name string, call *ast.CallExpr, allowAlloc bool, report func(pos token.Pos, format string, args ...any)) {
 	if isConversion(info, call) {
 		return
 	}
@@ -109,23 +100,17 @@ func checkLockfreeCall(c *Corpus, info *types.Info, name string, call *ast.CallE
 	}
 
 	if isLockCall(info, call) {
-		if !waived(call.Pos()) {
-			report(call.Pos(), "%s is lock-free but acquires a sync lock primitive", name)
-		}
+		report(call.Pos(), "%s is lock-free but acquires a sync lock primitive", name)
 		return
 	}
 	if isInterfaceCall(info, call) {
-		if !waived(call.Pos()) {
-			report(call.Pos(), "%s is lock-free but makes a dynamic interface call (callee unverifiable)", name)
-		}
+		report(call.Pos(), "%s is lock-free but makes a dynamic interface call (callee unverifiable)", name)
 		return
 	}
 	f := callee(info, call)
 	if f == nil {
 		// Calling a func-typed value: the target is unverifiable.
-		if !waived(call.Pos()) {
-			report(call.Pos(), "%s is lock-free but calls through a function value (callee unverifiable)", name)
-		}
+		report(call.Pos(), "%s is lock-free but calls through a function value (callee unverifiable)", name)
 		return
 	}
 	if !c.inModule(f) {
@@ -133,8 +118,6 @@ func checkLockfreeCall(c *Corpus, info *types.Info, name string, call *ast.CallE
 	}
 	target := c.FuncFor(f)
 	if target == nil || !target.Has(DirLockfree) {
-		if !waived(call.Pos()) {
-			report(call.Pos(), "%s is lock-free but calls in-module %s, which is not marked //wavedag:lockfree", name, f.Name())
-		}
+		report(call.Pos(), "%s is lock-free but calls in-module %s, which is not marked //wavedag:lockfree", name, f.Name())
 	}
 }

@@ -1,6 +1,6 @@
 // Package lockfree exercises the wavedag:lockfree contract checker
-// with one clean reader, one function violating every rule class, and
-// both waiver forms.
+// with one clean reader, one function violating every rule class, the
+// allocation waiver, and an unwaivable channel receive.
 package lockfree
 
 import "sync"
@@ -38,14 +38,7 @@ func (t *T) Grow() {
 	t.buf = append(t.buf, 1)
 }
 
-// Waived blocks on a channel, with a line-scoped waiver.
-//
-//wavedag:lockfree
-func Waived(ch chan int) int {
-	return <-ch //wavedag:allow-blocking (documented fallback)
-}
-
-// Blocks receives from a channel with no waiver.
+// Blocks receives from a channel; no directive waives blocking.
 //
 //wavedag:lockfree
 func Blocks(ch chan int) int {

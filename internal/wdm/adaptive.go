@@ -172,10 +172,9 @@ func (e *ShardedEngine) adaptLocked() {
 		} else {
 			sh.satEW -= a * sh.satEW // idle lanes cool off
 		}
-		// Occupancy is λ over the lane budget; NumLambda is only O(1)
-		// when every coloring state is incremental (lambdaEager), and
-		// only meaningful under a budget.
-		if b := sh.sess.Budget(); b > 0 && e.lambdaEager {
+		// Occupancy is λ over the lane budget, only meaningful under a
+		// budget.
+		if b := sh.sess.Budget(); b > 0 {
 			if n, err := sh.sess.NumLambda(); err == nil {
 				sh.occEW += a * (float64(n)/float64(b) - sh.occEW)
 			}

@@ -51,14 +51,8 @@ func replayEquivalence(t *testing.T, eng *ShardedEngine, topo *digraph.Digraph) 
 	if err := fresh.Verify(); err != nil {
 		t.Fatalf("from-scratch session not Verify-clean: %v", err)
 	}
-	if w := eng.Budget(); w > 0 {
-		n, err := eng.NumLambdaStrong()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n > w {
-			t.Fatalf("engine λ = %d exceeds budget %d", n, w)
-		}
+	if w := eng.Budget(); w > 0 && prov.NumLambda > w {
+		t.Fatalf("engine λ = %d exceeds budget %d", prov.NumLambda, w)
 	}
 }
 
@@ -157,7 +151,7 @@ func TestAddArcPlainComponent(t *testing.T) {
 	if net.Topology.NumArcs() != arcsBefore {
 		t.Fatalf("AddArc mutated the caller's Network: %d arcs, want %d", net.Topology.NumArcs(), arcsBefore)
 	}
-	if st := eng.StatsStrong(); st.ArcAdds != 1 {
+	if st := liveStats(eng); st.ArcAdds != 1 {
 		t.Fatalf("ArcAdds = %d, want 1", st.ArcAdds)
 	}
 	// The reverse pair is now routable — over the new arc.
@@ -165,7 +159,7 @@ func TestAddArcPlainComponent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("add over the new arc: %v", err)
 	}
-	p, err := eng.PathStrong(back)
+	p, err := livePath(eng, back)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +180,7 @@ func TestAddArcPlainComponent(t *testing.T) {
 		t.Fatalf("RestoreArc on added arc: %v", err)
 	}
 	for _, id := range ids {
-		if _, err := eng.PathStrong(id); err != nil {
+		if _, err := livePath(eng, id); err != nil {
 			t.Fatalf("pre-add id lost: %v", err)
 		}
 	}
@@ -285,15 +279,12 @@ scan:
 	if _, err := eng.FailArc(ga2); err != nil {
 		t.Fatalf("FailArc on bridge arc: %v", err)
 	}
-	dark, err := eng.IsDarkStrong(bid)
+	row, err := liveEntry(eng, bid)
 	if err != nil {
 		t.Fatalf("bridge id lost after the cut: %v", err)
 	}
-	if !dark {
-		p, err := eng.PathStrong(bid)
-		if err != nil {
-			t.Fatal(err)
-		}
+	if !row.dark {
+		p := row.path
 		for _, a := range p.Arcs() {
 			if a == ga2 {
 				t.Fatalf("restored path %v still crosses the cut arc %d", p, ga2)
@@ -314,7 +305,7 @@ func e_arcLoc(eng *ShardedEngine, ga digraph.ArcID) digraph.ArcID { return eng.a
 // TestAddArcMerge covers the cross-component shape: an arc between two
 // components merges them into one plain component. Every lightpath of
 // both survives the merge — ids issued before keep resolving through
-// the retired lanes' forward maps, strong and snapshot reads agree —
+// the retired lanes' forward maps, live state and snapshot reads agree —
 // and the merged pair becomes routable.
 func TestAddArcMerge(t *testing.T) {
 	net := multiComponentNetwork(t, 4, 521)
@@ -337,7 +328,7 @@ func TestAddArcMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := eng.PathStrong(id)
+		p, err := livePath(eng, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,9 +366,9 @@ func TestAddArcMerge(t *testing.T) {
 	snap := eng.Snapshot()
 	defer snap.Release()
 	for _, h := range ids {
-		p, err := eng.PathStrong(h.id)
+		p, err := livePath(eng, h.id)
 		if err != nil {
-			t.Fatalf("pre-merge id lost (strong): %v", err)
+			t.Fatalf("pre-merge id lost (live): %v", err)
 		}
 		if p.String() != h.p {
 			t.Fatalf("pre-merge route changed: %s, want %s", p, h.p)
@@ -395,7 +386,7 @@ func TestAddArcMerge(t *testing.T) {
 	if err != nil {
 		t.Fatalf("add across the merged components: %v", err)
 	}
-	p, err := eng.PathStrong(mid)
+	p, err := livePath(eng, mid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +519,7 @@ func TestRebandHysteresis(t *testing.T) {
 				burst(eng, regional, 20, rng)
 			}
 		}
-		if st := eng.StatsStrong(); st.Rebands != 0 {
+		if st := liveStats(eng); st.Rebands != 0 {
 			t.Fatalf("oscillating load re-banded %d times, want 0", st.Rebands)
 		}
 	})
@@ -541,7 +532,7 @@ func TestRebandHysteresis(t *testing.T) {
 		for batch := 0; batch < batches; batch++ {
 			burst(eng, cross, 20, rng)
 		}
-		st := eng.StatsStrong()
+		st := liveStats(eng)
 		if st.Rebands < 1 {
 			t.Fatal("sustained overlay pressure never re-banded")
 		}
@@ -553,8 +544,9 @@ func TestRebandHysteresis(t *testing.T) {
 		if err := eng.Verify(); err != nil {
 			t.Fatal(err)
 		}
-		if n, err := eng.NumLambdaStrong(); err != nil || n > eng.Budget() {
-			t.Fatalf("λ = %d exceeds budget %d after re-banding (err=%v)", n, eng.Budget(), err)
+		prov, err := eng.Provisioning()
+		if err != nil || prov.NumLambda > eng.Budget() {
+			t.Fatalf("λ exceeds budget %d after re-banding (prov=%+v, err=%v)", eng.Budget(), prov, err)
 		}
 	})
 }
@@ -597,7 +589,7 @@ func TestResplitHotRegion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := eng.PathStrong(id)
+		p, err := livePath(eng, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -624,7 +616,7 @@ func TestResplitHotRegion(t *testing.T) {
 			}
 		}
 		eng.ApplyBatch(ops)
-		split = eng.StatsStrong().Resplits > 0
+		split = liveStats(eng).Resplits > 0
 	}
 	if !split {
 		t.Fatal("hot region was never re-split")
@@ -638,7 +630,7 @@ func TestResplitHotRegion(t *testing.T) {
 	// Once no lane dominates the component's event share any more, the
 	// re-splitting settles: equilibrium, not thrash. Run the same load
 	// on and require the layout to hold still.
-	settled := eng.StatsStrong().Resplits
+	settled := liveStats(eng).Resplits
 	lanesSettled := len(c.regionShards)
 	for batch := 0; batch < 10; batch++ {
 		ops := make([]BatchOp, 0, 16)
@@ -654,7 +646,7 @@ func TestResplitHotRegion(t *testing.T) {
 		}
 		eng.ApplyBatch(ops)
 	}
-	if st := eng.StatsStrong(); st.Resplits > settled+1 || len(c.regionShards) > lanesSettled+1 {
+	if st := liveStats(eng); st.Resplits > settled+1 || len(c.regionShards) > lanesSettled+1 {
 		t.Fatalf("re-splitting did not settle: %d re-splits (was %d), %d lanes (was %d)",
 			st.Resplits, settled, len(c.regionShards), lanesSettled)
 	}
@@ -663,7 +655,7 @@ func TestResplitHotRegion(t *testing.T) {
 	}
 	// Old ids resolve to their exact routes through the forward map.
 	for _, h := range ids {
-		p, err := eng.PathStrong(h.id)
+		p, err := livePath(eng, h.id)
 		if err != nil {
 			t.Fatalf("pre-split id lost: %v", err)
 		}
@@ -785,7 +777,7 @@ func TestAdaptiveRandomizedEquivalence(t *testing.T) {
 		}
 		replayEquivalence(t, eng, topo)
 	}
-	st := eng.StatsStrong()
+	st := liveStats(eng)
 	if st.Resplits == 0 && st.Rebands == 0 {
 		t.Log("randomized churn triggered no re-layouts (valid but weak run)")
 	}

@@ -125,8 +125,8 @@ type BatchResult struct {
 // Reads never block writes: every mutation boundary publishes an
 // immutable EngineSnapshot through one atomic pointer (see
 // snapshot.go), and the read-only API answers from it without touching
-// the engine mutex. The ...Strong variants take the mutex and read
-// live state — the linearizable form.
+// the engine mutex. Provisioning and Verify are the linearizable forms:
+// they take the mutex and materialise live state.
 type ShardedEngine struct {
 	mu      sync.Mutex
 	net     *Network
@@ -172,13 +172,10 @@ type ShardedEngine struct {
 	batchSerial uint64
 
 	// Lock-free query plane (see snapshot.go): the currently published
-	// snapshot, its sequence counter, whether λ is cheap enough to
-	// materialise per publication (all coloring states incremental), the
-	// per-publication component dirtiness scratch, and the buffer
-	// recycling pools.
+	// snapshot, its sequence counter, the per-publication component
+	// dirtiness scratch, and the buffer recycling pools.
 	snap          atomic.Pointer[EngineSnapshot]
 	pubSeq        uint64
-	lambdaEager   bool
 	snapCompDirty []bool
 	tablePool     sync.Pool // *snapTable
 	vecPool       sync.Pool // *snapVec
@@ -526,17 +523,6 @@ func (n *Network) NewShardedEngine(opts ...ShardedOption) (*ShardedEngine, error
 			})
 		}
 	}
-	// λ is materialised into every snapshot only when all coloring
-	// states answer NumLambda in O(1) (the incremental strategy, the
-	// default); a deferred strategy would turn every publication into a
-	// full solve, so those engines answer λ through the strong path.
-	e.lambdaEager = true
-	for _, sh := range e.shards {
-		if _, ok := sh.sess.coloring.(*incrementalState); !ok {
-			e.lambdaEager = false
-			break
-		}
-	}
 	e.snapCompDirty = make([]bool, len(e.comps))
 	e.publishLocked() // seed the query plane with the empty snapshot
 	// The pool starts last: constructor error paths leak no goroutines.
@@ -716,18 +702,9 @@ func (st EngineStats) Restored() int {
 	return st.Plain.Restored + st.Region.Restored + st.Overlay.Restored
 }
 
-// StatsStrong reports the engine layout, overlay occupancy and
-// per-lane traffic shares read under the engine mutex — the
-// strongly-consistent twin of Stats, which answers from the published
-// snapshot.
-func (e *ShardedEngine) StatsStrong() EngineStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.statsLocked()
-}
-
 // statsLocked assembles EngineStats from the live sessions; the caller
-// holds e.mu. Shared by StatsStrong and snapshot publication.
+// holds e.mu. Snapshot publication freezes its result into every
+// EngineSnapshot.
 func (e *ShardedEngine) statsLocked() EngineStats {
 	st := EngineStats{
 		Components: len(e.comps),
@@ -790,30 +767,6 @@ func (e *ShardedEngine) OverlayBudgetSlice() int {
 	return e.overlaySlice
 }
 
-// OverlayLambdaStrong returns the maximum number of overlay wavelength
-// classes across components — the band the two-level aggregation stacks
-// above the region maximum (0 when no overlay lane holds a request) —
-// read under the engine mutex (see OverlayLambda for the snapshot
-// form).
-func (e *ShardedEngine) OverlayLambdaStrong() (int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	max := 0
-	for _, c := range e.comps {
-		if c.dead || !c.twoLevel() {
-			continue
-		}
-		n, err := c.overlay.sess.NumLambda()
-		if err != nil {
-			return 0, fmt.Errorf("wdm: component %d overlay: %w", c.idx, err)
-		}
-		if n > max {
-			max = n
-		}
-	}
-	return max, nil
-}
-
 // ── Dispatch ───────────────────────────────────────────────────────────
 
 // dispatchAdd resolves the executable shard of an add request and the
@@ -852,7 +805,7 @@ func (e *ShardedEngine) dispatchAdd(req route.Request) (*engineShard, route.Requ
 // issued.
 func (e *ShardedEngine) shardOf(id ShardedID) (*engineShard, error) {
 	if id.Shard < 0 || int(id.Shard) >= len(e.shards) {
-		return nil, fmt.Errorf("wdm: unknown shard %d", id.Shard)
+		return nil, fmt.Errorf("wdm: unknown shard %d: %w", id.Shard, ErrUnknownSession)
 	}
 	return e.shards[id.Shard], nil
 }
@@ -872,7 +825,7 @@ func (e *ShardedEngine) resolveID(id ShardedID) (*engineShard, SessionID, error)
 	for hops := 0; sh.retired; hops++ {
 		next, ok := sh.forward[lid]
 		if !ok || hops >= len(e.shards) {
-			return nil, 0, fmt.Errorf("wdm: unknown session id %d on retired shard %d", lid, sh.idx)
+			return nil, 0, fmt.Errorf("wdm: session id %d on retired shard %d: %w", lid, sh.idx, ErrUnknownSession)
 		}
 		sh, lid = e.shards[next.Shard], next.ID
 	}
@@ -1284,23 +1237,6 @@ func (sh *engineShard) compLocalPath(p *dipath.Path) (*dipath.Path, error) {
 	return dipath.FromArcsTrusted(sh.comp.view.G, arcs...), nil
 }
 
-// PathStrong returns the current route of a live request, in the
-// engine topology's vertex and arc identifiers, read under the engine
-// mutex (see Path for the snapshot form).
-func (e *ShardedEngine) PathStrong(id ShardedID) (*dipath.Path, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	sh, lid, err := e.resolveID(id)
-	if err != nil {
-		return nil, err
-	}
-	p, err := sh.sess.Path(lid)
-	if err != nil {
-		return nil, err
-	}
-	return sh.globalPath(e, p)
-}
-
 // regionLambdaMax returns the maximum λ across a two-level component's
 // region lanes — the base of the overlay lane's wavelength band.
 func (c *engineComponent) regionLambdaMax() (int, error) {
@@ -1315,131 +1251,6 @@ func (c *engineComponent) regionLambdaMax() (int, error) {
 		}
 	}
 	return max, nil
-}
-
-// lambda returns a component's wavelength count: the per-shard λ for
-// plain components, the region maximum plus the overlay band for
-// two-level ones.
-func (c *engineComponent) lambda() (int, error) {
-	if !c.twoLevel() {
-		return c.plain.sess.NumLambda()
-	}
-	base, err := c.regionLambdaMax()
-	if err != nil {
-		return 0, err
-	}
-	on, err := c.overlay.sess.NumLambda()
-	if err != nil {
-		return 0, fmt.Errorf("wdm: component %d overlay: %w", c.idx, err)
-	}
-	return base + on, nil
-}
-
-// WavelengthStrong returns the current wavelength of a live request,
-// read under the engine mutex (see Wavelength for the snapshot form).
-// Overlay lane wavelengths are reported in the component's effective
-// band (region maximum + overlay class), so the answer may shift
-// upward as region lanes grow; it is exact as of the call.
-func (e *ShardedEngine) WavelengthStrong(id ShardedID) (int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	sh, lid, err := e.resolveID(id)
-	if err != nil {
-		return -1, err
-	}
-	w, err := sh.sess.Wavelength(lid)
-	if err != nil || sh.kind != shardOverlay || w < 0 {
-		return w, err
-	}
-	base, err := sh.comp.regionLambdaMax()
-	if err != nil {
-		return -1, err
-	}
-	return base + w, nil
-}
-
-// LenStrong returns the number of live requests across all shards,
-// read under the engine mutex (see Len for the snapshot form).
-func (e *ShardedEngine) LenStrong() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	total := 0
-	for _, sh := range e.shards {
-		total += sh.sess.Len()
-	}
-	return total
-}
-
-// PiStrong returns the load π of the live routing — the maximum over
-// components — read under the engine mutex (see Pi for the snapshot
-// form). A two-level component's overlay tracker holds the exact
-// combined load view (region lanes reconcile into it at every batch
-// boundary), so π stays exact under sub-sharding.
-func (e *ShardedEngine) PiStrong() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	pi := 0
-	for _, c := range e.comps {
-		if c.dead {
-			continue
-		}
-		var p int
-		if c.twoLevel() {
-			p = c.overlay.sess.tracker.Pi()
-		} else {
-			p = c.plain.sess.Pi()
-		}
-		if p > pi {
-			pi = p
-		}
-	}
-	return pi
-}
-
-// NumLambdaStrong returns the number of wavelengths in use: the
-// maximum over components (offset-free union — wavelengths of
-// independent components overlap rather than stack), where a two-level
-// component counts its region maximum plus its overlay band. It reads
-// under the engine mutex (see NumLambda for the snapshot form) and is
-// the materialising path for deferred coloring strategies.
-func (e *ShardedEngine) NumLambdaStrong() (int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	num := 0
-	for _, c := range e.comps {
-		if c.dead {
-			continue
-		}
-		n, err := c.lambda()
-		if err != nil {
-			return 0, err
-		}
-		if n > num {
-			num = n
-		}
-	}
-	return num, nil
-}
-
-// ArcLoadsStrong returns the per-arc load vector over the engine's
-// topology, scattered from the shard-local trackers under the engine
-// mutex (see ArcLoads/ArcLoadsInto for the snapshot forms).
-func (e *ShardedEngine) ArcLoadsStrong() []int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	loads := make([]int, e.net.Topology.NumArcs())
-	for _, c := range e.comps {
-		if c.dead {
-			continue
-		}
-		if c.twoLevel() {
-			// The overlay tracker is the component's combined view.
-			c.overlay.sess.tracker.ScatterLoads(loads, c.view.ToGlobalArc)
-		} else {
-			c.plain.sess.tracker.ScatterLoads(loads, c.view.ToGlobalArc)
-		}
-	}
-	return loads
 }
 
 // verify checks one component's live assignment: a plain component

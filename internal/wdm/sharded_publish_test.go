@@ -13,7 +13,7 @@ import (
 // component session desynchronized from the global topology — the
 // global cut/repair succeeds, the component storm then fails — which
 // historically returned without republishing, leaving lock-free readers
-// on a snapshot that disagreed with the mutex-guarded strong reads.
+// on a snapshot that disagreed with the mutex-guarded live state.
 
 // desyncArc returns a global arc owned by a plain component, with its
 // component and local identifier.
@@ -48,12 +48,13 @@ func TestFailArcPublishesOnStormError(t *testing.T) {
 	}
 
 	// The global cut happened, so it must have been published: the
-	// lock-free snapshot read and the strong read must agree.
-	if got, want := eng.NumFailedArcs(), eng.NumFailedArcsStrong(); got != want {
-		t.Fatalf("snapshot NumFailedArcs=%d, strong=%d: FailArc error path did not publish", got, want)
+	// lock-free snapshot read and the live state must agree.
+	live := liveStats(eng).FailedArcs
+	if got := eng.NumFailedArcs(); got != live {
+		t.Fatalf("snapshot NumFailedArcs=%d, live=%d: FailArc error path did not publish", got, live)
 	}
-	if eng.NumFailedArcsStrong() != 1 {
-		t.Fatalf("strong NumFailedArcs=%d, want 1", eng.NumFailedArcsStrong())
+	if live != 1 {
+		t.Fatalf("live NumFailedArcs=%d, want 1", live)
 	}
 	if eng.Stats().Cuts != 1 {
 		t.Fatalf("Stats().Cuts=%d, want 1 (the cut did land)", eng.Stats().Cuts)
@@ -83,11 +84,12 @@ func TestRestoreArcPublishesOnSweepError(t *testing.T) {
 	}
 
 	// The global repair happened, so it must have been published.
-	if got, want := eng.NumFailedArcs(), eng.NumFailedArcsStrong(); got != want {
-		t.Fatalf("snapshot NumFailedArcs=%d, strong=%d: RestoreArc error path did not publish", got, want)
+	live := liveStats(eng).FailedArcs
+	if got := eng.NumFailedArcs(); got != live {
+		t.Fatalf("snapshot NumFailedArcs=%d, live=%d: RestoreArc error path did not publish", got, live)
 	}
-	if eng.NumFailedArcsStrong() != 0 {
-		t.Fatalf("strong NumFailedArcs=%d, want 0", eng.NumFailedArcsStrong())
+	if live != 0 {
+		t.Fatalf("live NumFailedArcs=%d, want 0", live)
 	}
 }
 

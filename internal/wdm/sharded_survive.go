@@ -214,38 +214,3 @@ func (c *engineComponent) refreshLiveLabel() {
 	}
 	c.liveLabel = c.view.G.LiveComponentLabels()
 }
-
-// NumFailedArcsStrong reports how many arcs of the engine topology are
-// currently cut, read under the engine mutex (see NumFailedArcs for
-// the snapshot form).
-func (e *ShardedEngine) NumFailedArcsStrong() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.net.Topology.NumFailedArcs()
-}
-
-// DarkLiveStrong returns the number of entries parked dark across all
-// lanes, read under the engine mutex (see DarkLive for the snapshot
-// form).
-func (e *ShardedEngine) DarkLiveStrong() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	total := 0
-	for _, sh := range e.shards {
-		total += sh.sess.DarkLive()
-	}
-	return total
-}
-
-// IsDarkStrong reports whether the request id is currently parked
-// dark, read under the engine mutex (see IsDark for the snapshot
-// form).
-func (e *ShardedEngine) IsDarkStrong(id ShardedID) (bool, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	sh, lid, err := e.resolveID(id)
-	if err != nil {
-		return false, err
-	}
-	return sh.sess.IsDark(lid)
-}

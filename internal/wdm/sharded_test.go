@@ -318,6 +318,72 @@ func pool0(t *testing.T, net *Network) route.Request {
 	return pool[0]
 }
 
+// TestBadHandleErrorsAreUnknownSession pins the error type of every
+// handle the engine never issued or can no longer resolve — an
+// out-of-range shard on either side, and an id on a shard retired by a
+// re-layout whose forward map does not know it — across the mutating
+// entry points (resolved under the mutex) and the snapshot lookups:
+// each must satisfy errors.Is(err, ErrUnknownSession), so a front end
+// can answer "not found" instead of an internal error.
+func TestBadHandleErrorsAreUnknownSession(t *testing.T) {
+	net := multiComponentNetwork(t, 2, 93)
+	eng, err := net.NewShardedEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	// A request removed before an AddArc merge retires its shard: the
+	// retired shard's forward map only relocates entries that were live.
+	gone, err := eng.Add(pool0(t, net))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Remove(gone); err != nil {
+		t.Fatal(err)
+	}
+	var u, v digraph.Vertex = -1, -1
+	for gv, c := range eng.label {
+		if c == 0 && u < 0 {
+			u = digraph.Vertex(gv)
+		}
+		if c == 1 && v < 0 {
+			v = digraph.Vertex(gv)
+		}
+	}
+	if _, err := eng.AddArc(u, v); err != nil {
+		t.Fatalf("merge AddArc: %v", err)
+	}
+	if !eng.shards[gone.Shard].retired {
+		t.Fatalf("shard %d not retired by the merge", gone.Shard)
+	}
+	handles := map[string]ShardedID{
+		"shard=999":     {Shard: 999, ID: gone.ID},
+		"shard=-1":      {Shard: -1, ID: gone.ID},
+		"retired-shard": gone,
+	}
+	calls := map[string]func(ShardedID) error{
+		"Remove":  eng.Remove,
+		"Reroute": func(id ShardedID) error { _, err := eng.Reroute(id); return err },
+		"BatchRemove": func(id ShardedID) error {
+			res := eng.ApplyBatch([]BatchOp{RemoveOp(id)})
+			return res[0].Err
+		},
+		"Path":       func(id ShardedID) error { _, err := eng.Path(id); return err },
+		"Wavelength": func(id ShardedID) error { _, err := eng.Wavelength(id); return err },
+		"IsDark":     func(id ShardedID) error { _, err := eng.IsDark(id); return err },
+	}
+	for hname, id := range handles {
+		for cname, call := range calls {
+			if err := call(id); !errors.Is(err, ErrUnknownSession) {
+				t.Errorf("%s(%s) = %v, want ErrUnknownSession", cname, hname, err)
+			}
+		}
+	}
+	if err := eng.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestShardedConcurrentStress hammers one engine from several
 // goroutines at once — batches, aggregates, provisioning snapshots —
 // under the race detector in CI (-race -cpu=1,4). Each goroutine

@@ -1,7 +1,6 @@
 package wdm
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -14,10 +13,10 @@ import (
 // immutable EngineSnapshot at every boundary and publishes it through
 // an atomic pointer; the read-only API answers from the current
 // snapshot without touching the engine mutex, so monitoring readers
-// never stall the write path and a write never stalls a reader. The
-// ...Strong variants (sharded.go) keep the mutex-serialised reads for
-// tests and for callers that need the in-flight, not-yet-published
-// state.
+// never stall the write path and a write never stalls a reader. It is
+// the engine's only read path: callers that need a linearizable view
+// of merged state use Provisioning and Verify (sharded.go), which take
+// the mutex.
 //
 // Publication is incremental and double-buffered: only shards a batch
 // actually touched rebuild their entry tables (untouched tables are
@@ -28,19 +27,11 @@ import (
 // snapshot across many batches reads stable data for as long as it
 // wants; it only delays buffer reuse, never correctness.
 
-// errLambdaDeferred is returned by snapshot λ queries on engines whose
-// coloring strategy defers wavelength assignment: a deferred strategy
-// materialises λ on demand (a full solve), which publication refuses to
-// pay per batch. NumLambda and OverlayLambda on the engine fall back to
-// the Strong path transparently; only direct snapshot reads see this.
-var errLambdaDeferred = errors.New(
-	"wdm: λ is not materialised in snapshots under a deferred coloring strategy; use NumLambdaStrong")
-
 // Snapshot entry states.
 const (
 	snapFree uint8 = iota // slot unoccupied (or recycled under a newer generation)
-	snapLit                // live, carrying a wavelength
-	snapDark               // parked dark by a restoration storm
+	snapLit               // live, carrying a wavelength
+	snapDark              // parked dark by a restoration storm
 )
 
 // snapRow is one request slot's row in a snapshot's per-shard entry
@@ -118,53 +109,61 @@ type EngineSnapshot struct {
 // Seq returns the snapshot's publication sequence number — strictly
 // increasing across publications, so two snapshots with equal Seq are
 // the same snapshot.
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) Seq() uint64 { return s.seq }
 
 // TopologyEpoch returns the topology epoch at publication (see
 // digraph.TopologyEpoch — FailArc and RestoreArc bump it).
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) TopologyEpoch() uint64 { return s.epoch }
 
 // Closed reports whether the engine was closed at publication.
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) Closed() bool { return s.closed }
 
 // Stats returns the engine stats frozen at publication.
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) Stats() EngineStats { return s.stats }
 
 // Len returns the number of live (lit) requests at publication.
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) Len() int { return s.live }
 
 // DarkLive returns the number of dark-parked entries at publication.
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) DarkLive() int { return s.dark }
 
 // Pi returns the load π at publication.
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) Pi() int { return s.pi }
 
-// NumLambda returns the wavelength count at publication. On engines
-// running a deferred coloring strategy it returns an error (λ is only
-// materialised on demand there — use ShardedEngine.NumLambdaStrong).
+// NumLambda returns the wavelength count at publication.
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) NumLambda() (int, error) { return s.lambda, s.lambdaErr }
 
 // OverlayLambda returns the maximum overlay band across components at
-// publication (see ShardedEngine.OverlayLambda); like NumLambda it
-// errors under a deferred coloring strategy.
+// publication (see ShardedEngine.OverlayLambda).
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) OverlayLambda() (int, error) { return s.overlayLambda, s.lambdaErr }
 
 // NumArcs returns the length of the snapshot's arc-load vector.
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) NumArcs() int { return len(s.loads.arr) }
 
 // ArcLoadsInto copies the snapshot's per-arc load vector into dst,
 // reusing its capacity (growing only when too small), and returns the
 // resized slice.
+//
 //wavedag:lockfree
 //wavedag:allow-alloc (grow path when dst is too small)
 func (s *EngineSnapshot) ArcLoadsInto(dst []int) []int {
@@ -179,6 +178,7 @@ func (s *EngineSnapshot) ArcLoadsInto(dst []int) []int {
 }
 
 // ArcLoads returns a copy of the snapshot's per-arc load vector.
+//
 //wavedag:lockfree
 //wavedag:allow-alloc (delegates to the growing ArcLoadsInto)
 func (s *EngineSnapshot) ArcLoads() []int { return s.ArcLoadsInto(nil) }
@@ -187,11 +187,12 @@ func (s *EngineSnapshot) ArcLoads() []int { return s.ArcLoadsInto(nil) }
 // same error shape as the live session lookup. When the id's shard was
 // retired by a re-layout the table's forward map is chased (bounded by
 // the table count — forward chains only ever point at younger shards).
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) lookupRow(id ShardedID) (snapRow, *snapTable, error) {
 	for hops := 0; ; hops++ {
 		if id.Shard < 0 || int(id.Shard) >= len(s.tables) {
-			return snapRow{}, nil, fmt.Errorf("wdm: unknown shard %d", id.Shard)
+			return snapRow{}, nil, fmt.Errorf("wdm: unknown shard %d: %w", id.Shard, ErrUnknownSession)
 		}
 		t := s.tables[id.Shard]
 		idx := int64(uint32(id.ID))
@@ -211,6 +212,7 @@ func (s *EngineSnapshot) lookupRow(id ShardedID) (snapRow, *snapTable, error) {
 
 // translatePath lifts a shard-local path into the topology the snapshot
 // was published against, through the table's frozen identifier arrays.
+//
 //wavedag:lockfree
 //wavedag:allow-alloc (the translated path is a fresh object by contract)
 func (s *EngineSnapshot) translatePath(t *snapTable, p *dipath.Path) (*dipath.Path, error) {
@@ -226,6 +228,7 @@ func (s *EngineSnapshot) translatePath(t *snapTable, p *dipath.Path) (*dipath.Pa
 
 // Path returns the route the request held at publication, in the
 // engine topology's identifiers (for a dark entry, the parked route).
+//
 //wavedag:lockfree
 //wavedag:allow-alloc (the translated path is a fresh object by contract)
 func (s *EngineSnapshot) Path(id ShardedID) (*dipath.Path, error) {
@@ -238,6 +241,7 @@ func (s *EngineSnapshot) Path(id ShardedID) (*dipath.Path, error) {
 
 // Wavelength returns the banded engine wavelength the request held at
 // publication, or -1 when it was parked dark or assignment is deferred.
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) Wavelength(id ShardedID) (int, error) {
 	r, _, err := s.lookupRow(id)
@@ -248,6 +252,7 @@ func (s *EngineSnapshot) Wavelength(id ShardedID) (int, error) {
 }
 
 // IsDark reports whether the request was parked dark at publication.
+//
 //wavedag:lockfree
 func (s *EngineSnapshot) IsDark(id ShardedID) (bool, error) {
 	r, _, err := s.lookupRow(id)
@@ -261,6 +266,7 @@ func (s *EngineSnapshot) IsDark(id ShardedID) (bool, error) {
 // already dropped — which can only happen to a snapshot that is no
 // longer the published one, so callers retry against the current
 // pointer.
+//
 //wavedag:lockfree
 //wavedag:refcount
 func (s *EngineSnapshot) acquire() bool {
@@ -279,6 +285,7 @@ func (s *EngineSnapshot) acquire() bool {
 // last drop (publisher reference included) sends the backing buffers
 // back to the recycling pools. Releasing more often than acquired
 // panics — the buffers would be recycled under a still-active reader.
+//
 //wavedag:lockfree
 //wavedag:refcount
 func (s *EngineSnapshot) Release() {
@@ -294,6 +301,7 @@ func (s *EngineSnapshot) Release() {
 // left; tables still shared with a newer snapshot stay out until their
 // own count drops. Row path pointers are left in place — the pool is
 // GC-backed and every rebuild overwrites the rows it hands out.
+//
 //wavedag:lockfree
 //wavedag:refcount
 func (s *EngineSnapshot) reclaim() {
@@ -312,6 +320,7 @@ func (s *EngineSnapshot) reclaim() {
 // one atomic load plus one atomic increment, no locks. Callers must
 // Release it when done. Successive calls may return the same snapshot
 // (nothing was published in between) but Seq never moves backwards.
+//
 //wavedag:lockfree
 //wavedag:acquire Release
 func (e *ShardedEngine) Snapshot() *EngineSnapshot {
@@ -333,58 +342,57 @@ func (e *ShardedEngine) Snapshot() *EngineSnapshot {
 
 // Stats reports the engine layout, overlay occupancy, per-lane traffic
 // shares and failure counters, from the current snapshot.
+//
 //wavedag:lockfree
 func (e *ShardedEngine) Stats() EngineStats { return e.snap.Load().stats }
 
 // Len returns the number of live requests across all shards, from the
 // current snapshot.
+//
 //wavedag:lockfree
 func (e *ShardedEngine) Len() int { return e.snap.Load().live }
 
 // Pi returns the load π of the live routing — the maximum over
-// components, exact under sub-sharding (see PiStrong for the aggregation
-// argument) — from the current snapshot.
+// components — from the current snapshot. A two-level component's
+// overlay tracker holds the exact combined load view (region lanes
+// reconcile into it at every batch boundary), so π stays exact under
+// sub-sharding.
+//
 //wavedag:lockfree
 func (e *ShardedEngine) Pi() int { return e.snap.Load().pi }
 
 // DarkLive returns the number of entries parked dark across all lanes,
 // from the current snapshot.
+//
 //wavedag:lockfree
 func (e *ShardedEngine) DarkLive() int { return e.snap.Load().dark }
 
 // NumFailedArcs reports how many arcs of the engine topology are cut,
 // from the current snapshot.
+//
 //wavedag:lockfree
 func (e *ShardedEngine) NumFailedArcs() int { return e.snap.Load().stats.FailedArcs }
 
-// NumLambda returns the number of wavelengths in use (max over
-// components; a two-level component counts its region maximum plus its
-// overlay band), from the current snapshot. Engines running a deferred
-// coloring strategy fall back to the mutex-serialised strong read — a
-// deferred λ is a full solve, which publication does not pay per batch.
+// NumLambda returns the number of wavelengths in use, from the current
+// snapshot: the maximum over components (offset-free union —
+// wavelengths of independent components overlap rather than stack),
+// where a two-level component counts its region maximum plus its
+// overlay band.
+//
 //wavedag:lockfree
-func (e *ShardedEngine) NumLambda() (int, error) {
-	s := e.snap.Load()
-	if errors.Is(s.lambdaErr, errLambdaDeferred) {
-		return e.NumLambdaStrong() //wavedag:allow-blocking (documented deferred-λ fallback)
-	}
-	return s.lambda, s.lambdaErr
-}
+func (e *ShardedEngine) NumLambda() (int, error) { return e.snap.Load().NumLambda() }
 
-// OverlayLambda returns the maximum overlay band across components
-// (see OverlayLambdaStrong), from the current snapshot; deferred
-// coloring strategies fall back to the strong read like NumLambda.
+// OverlayLambda returns the maximum number of overlay wavelength
+// classes across components — the band the two-level aggregation
+// stacks above the region maximum (0 when no overlay lane holds a
+// request) — from the current snapshot.
+//
 //wavedag:lockfree
-func (e *ShardedEngine) OverlayLambda() (int, error) {
-	s := e.snap.Load()
-	if errors.Is(s.lambdaErr, errLambdaDeferred) {
-		return e.OverlayLambdaStrong() //wavedag:allow-blocking (documented deferred-λ fallback)
-	}
-	return s.overlayLambda, s.lambdaErr
-}
+func (e *ShardedEngine) OverlayLambda() (int, error) { return e.snap.Load().OverlayLambda() }
 
 // ArcLoads returns the per-arc load vector over the engine's topology,
 // from the current snapshot. Use ArcLoadsInto to reuse a buffer.
+//
 //wavedag:lockfree
 //wavedag:allow-alloc (fresh copy by contract; ArcLoadsInto is the 0-alloc form)
 func (e *ShardedEngine) ArcLoads() []int { return e.ArcLoadsInto(nil) }
@@ -392,6 +400,7 @@ func (e *ShardedEngine) ArcLoads() []int { return e.ArcLoadsInto(nil) }
 // ArcLoadsInto copies the current snapshot's per-arc load vector into
 // dst, reusing its capacity — the allocation-free form of ArcLoads for
 // polling readers.
+//
 //wavedag:lockfree
 func (e *ShardedEngine) ArcLoadsInto(dst []int) []int {
 	s := e.Snapshot()
@@ -402,6 +411,7 @@ func (e *ShardedEngine) ArcLoadsInto(dst []int) []int {
 
 // Path returns the route of a live request as of the current snapshot,
 // in the engine topology's identifiers.
+//
 //wavedag:lockfree
 //wavedag:allow-alloc (the translated path is a fresh object by contract)
 func (e *ShardedEngine) Path(id ShardedID) (*dipath.Path, error) {
@@ -417,7 +427,11 @@ func (e *ShardedEngine) Path(id ShardedID) (*dipath.Path, error) {
 // Wavelength returns the wavelength of a live request as of the
 // current snapshot. Overlay lane wavelengths are reported in the
 // component's effective band (region maximum + overlay class) as of the
-// same boundary; -1 when parked dark or assignment is deferred.
+// same boundary, so an overlay request's answer may shift upward
+// between snapshots as region lanes grow; -1 when parked dark or
+// assignment is deferred (see Provisioning for the materialised
+// answer).
+//
 //wavedag:lockfree
 func (e *ShardedEngine) Wavelength(id ShardedID) (int, error) {
 	s := e.Snapshot()
@@ -428,6 +442,7 @@ func (e *ShardedEngine) Wavelength(id ShardedID) (int, error) {
 
 // IsDark reports whether the request is parked dark, as of the current
 // snapshot.
+//
 //wavedag:lockfree
 func (e *ShardedEngine) IsDark(id ShardedID) (bool, error) {
 	s := e.Snapshot()
@@ -439,6 +454,7 @@ func (e *ShardedEngine) IsDark(id ShardedID) (bool, error) {
 // ── Publication ────────────────────────────────────────────────────────
 
 // getTable takes a table from the pool resized to n rows.
+//
 //wavedag:pool-handoff (ownership passes to the published snapshot; reclaim returns it)
 func (e *ShardedEngine) getTable(n int) *snapTable {
 	t, _ := e.tablePool.Get().(*snapTable)
@@ -454,6 +470,7 @@ func (e *ShardedEngine) getTable(n int) *snapTable {
 }
 
 // getVec takes an arc-load vector from the pool resized to n.
+//
 //wavedag:pool-handoff (ownership passes to the published snapshot; reclaim returns it)
 func (e *ShardedEngine) getVec(n int) *snapVec {
 	v, _ := e.vecPool.Get().(*snapVec)
@@ -507,12 +524,15 @@ func (c *engineComponent) markAllDirty() {
 	c.overlay.dirty = true
 }
 
-// refreshCompAggregates recomputes a component's cached snapshot
-// aggregates (λ with its banding base, π, live and dark counts) from
-// its live sessions. Called under e.mu for components the last interval
-// dirtied; clean components keep their cache. Dead components aggregate
-// as zero — their traffic lives on in the component that absorbed them.
-func (e *ShardedEngine) refreshCompAggregates(c *engineComponent) {
+// refreshAggregates recomputes a component's cached snapshot aggregates
+// (λ with its banding base, π, live and dark counts) from its live
+// sessions. Called under e.mu for components the last interval dirtied;
+// clean components keep their cache. λ is always materialised: an O(1)
+// read under the default incremental coloring strategy, a from-scratch
+// solve under a deferred one (paid once per publication of a dirty
+// component). Dead components aggregate as zero — their traffic lives
+// on in the component that absorbed them.
+func (c *engineComponent) refreshAggregates() {
 	if c.dead {
 		c.aggLambda, c.aggLambdaErr, c.aggRegionBase, c.aggOverlayLambda = 0, nil, 0, 0
 		c.aggPi, c.aggLive, c.aggDark = 0, 0, 0
@@ -524,10 +544,6 @@ func (e *ShardedEngine) refreshCompAggregates(c *engineComponent) {
 		c.aggPi = c.plain.sess.Pi()
 		c.aggLive = c.plain.sess.Len()
 		c.aggDark = c.plain.sess.DarkLive()
-		if !e.lambdaEager {
-			c.aggLambda, c.aggLambdaErr = 0, errLambdaDeferred
-			return
-		}
 		c.aggLambda, c.aggLambdaErr = c.plain.sess.NumLambda()
 		return
 	}
@@ -539,11 +555,6 @@ func (e *ShardedEngine) refreshCompAggregates(c *engineComponent) {
 	}
 	c.aggLive += c.overlay.sess.Len()
 	c.aggDark += c.overlay.sess.DarkLive()
-	if !e.lambdaEager {
-		c.aggRegionBase, c.aggOverlayLambda = 0, 0
-		c.aggLambda, c.aggLambdaErr = 0, errLambdaDeferred
-		return
-	}
 	base, err := c.regionLambdaMax()
 	if err != nil {
 		c.aggRegionBase, c.aggLambda, c.aggLambdaErr = 0, 0, err
@@ -566,6 +577,7 @@ func (e *ShardedEngine) refreshCompAggregates(c *engineComponent) {
 // their loads and refresh their aggregates; everything else carries
 // over from the previous snapshot — tables by shared reference, the
 // load vector by copy (or shared outright when nothing moved).
+//
 //wavedag:refcount
 func (e *ShardedEngine) publishLocked() {
 	prev := e.snap.Load()
@@ -590,7 +602,7 @@ func (e *ShardedEngine) publishLocked() {
 		e.snapCompDirty[i] = dirty
 		if dirty {
 			anyDirty = true
-			e.refreshCompAggregates(c)
+			c.refreshAggregates()
 			if c.twoLevel() {
 				c.overlay.dirty = true
 			}

@@ -8,54 +8,148 @@ import (
 	"testing"
 
 	"wavedag/internal/digraph"
+	"wavedag/internal/dipath"
 	"wavedag/internal/route"
 )
 
 // Tests for the lock-free query plane (snapshot.go): the consistency
-// contract between snapshots and the ...Strong reads, sequence-number
-// monotonicity, staleness bounds, pin-based buffer lifetime, the
-// post-Close behaviour, the zero-allocation guarantees, and a reader
-// storm racing a writer through batches, fiber cuts and Close.
+// contract between snapshots and an independent materialisation of the
+// live state, sequence-number monotonicity, staleness bounds, pin-based
+// buffer lifetime, the post-Close behaviour, the zero-allocation
+// guarantees, and a reader storm racing a writer through batches, fiber
+// cuts and Close.
 
-// checkSnapshotAgainstStrong asserts, under quiescence, that the
-// current snapshot agrees with every mutex-serialised strong read —
-// scalars, stats, the load vector, and per-id Path/Wavelength/IsDark
-// over ids (live, removed and stale ones alike).
-func checkSnapshotAgainstStrong(t *testing.T, eng *ShardedEngine, ids []ShardedID) {
+// liveRow is one request's live state as the oracle reads it.
+type liveRow struct {
+	path       *dipath.Path
+	wavelength int // banded engine wavelength; -1 when dark or deferred
+	dark       bool
+}
+
+// liveEntry is the oracle for per-id snapshot lookups: it resolves id
+// against the live shards under the engine mutex (chasing forward maps
+// like every mutation does) and reads the owning session directly,
+// lifting overlay wavelengths into their component's band.
+func liveEntry(e *ShardedEngine, id ShardedID) (liveRow, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	sh, lid, err := e.resolveID(id)
+	if err != nil {
+		return liveRow{}, err
+	}
+	lp, err := sh.sess.Path(lid)
+	if err != nil {
+		return liveRow{}, err
+	}
+	p, err := sh.globalPath(e, lp)
+	if err != nil {
+		return liveRow{}, err
+	}
+	dark, err := sh.sess.IsDark(lid)
+	if err != nil {
+		return liveRow{}, err
+	}
+	w, err := sh.sess.Wavelength(lid)
+	if err != nil {
+		return liveRow{}, err
+	}
+	if sh.kind == shardOverlay && w >= 0 {
+		base, err := sh.comp.regionLambdaMax()
+		if err != nil {
+			return liveRow{}, err
+		}
+		w += base
+	}
+	return liveRow{path: p, wavelength: w, dark: dark}, nil
+}
+
+// livePath is liveEntry's route alone.
+func livePath(e *ShardedEngine, id ShardedID) (*dipath.Path, error) {
+	r, err := liveEntry(e, id)
+	return r.path, err
+}
+
+// liveStats is the oracle for EngineStats: the live sessions' counters,
+// assembled under the engine mutex.
+func liveStats(e *ShardedEngine) EngineStats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.statsLocked()
+}
+
+// liveOverlayLambda is the oracle for OverlayLambda: the largest
+// overlay-lane λ across live two-level components.
+func liveOverlayLambda(e *ShardedEngine) (int, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	band := 0
+	for _, c := range e.comps {
+		if c.dead || !c.twoLevel() {
+			continue
+		}
+		n, err := c.overlay.sess.NumLambda()
+		if err != nil {
+			return 0, err
+		}
+		band = max(band, n)
+	}
+	return band, nil
+}
+
+// checkSnapshotAgainstLive asserts, under quiescence, that the current
+// snapshot agrees with an independent materialisation of the live
+// state: λ, π, the live count and the load vector (recomputed arc by
+// arc from the routes) against Provisioning, and the stats, dark count,
+// overlay band and per-id Path/Wavelength/IsDark over ids (live,
+// removed and stale ones alike) against the live-state oracle above.
+func checkSnapshotAgainstLive(t *testing.T, eng *ShardedEngine, ids []ShardedID) {
 	t.Helper()
 	s := eng.Snapshot()
 	defer s.Release()
-	if got, want := s.Len(), eng.LenStrong(); got != want {
-		t.Fatalf("snapshot Len = %d, strong %d", got, want)
+	prov, err := eng.Provisioning()
+	if err != nil {
+		t.Fatalf("Provisioning: %v", err)
 	}
-	if got, want := s.Pi(), eng.PiStrong(); got != want {
-		t.Fatalf("snapshot Pi = %d, strong %d", got, want)
+	if got, want := s.Len(), len(prov.Paths); got != want {
+		t.Fatalf("snapshot Len = %d, provisioning %d", got, want)
 	}
-	if got, want := s.DarkLive(), eng.DarkLiveStrong(); got != want {
-		t.Fatalf("snapshot DarkLive = %d, strong %d", got, want)
+	if got, want := s.Pi(), prov.Pi; got != want {
+		t.Fatalf("snapshot Pi = %d, provisioning %d", got, want)
 	}
-	gl, gerr := s.NumLambda()
-	wl, werr := eng.NumLambdaStrong()
-	if (gerr == nil) != (werr == nil) || gl != wl {
-		t.Fatalf("snapshot NumLambda = %d (%v), strong %d (%v)", gl, gerr, wl, werr)
+	if gl, err := s.NumLambda(); err != nil || gl != prov.NumLambda {
+		t.Fatalf("snapshot NumLambda = %d (%v), provisioning %d", gl, err, prov.NumLambda)
 	}
-	go1, _ := s.OverlayLambda()
-	wo1, _ := eng.OverlayLambdaStrong()
-	if go1 != wo1 {
-		t.Fatalf("snapshot OverlayLambda = %d, strong %d", go1, wo1)
+	wantLoads := make([]int, s.topo.NumArcs())
+	maxLoad := 0
+	for _, p := range prov.Paths {
+		for _, a := range p.Arcs() {
+			wantLoads[a]++
+			maxLoad = max(maxLoad, wantLoads[a])
+		}
 	}
-	if got, want := s.Stats(), eng.StatsStrong(); got != want {
-		t.Fatalf("snapshot Stats = %+v, strong %+v", got, want)
+	if maxLoad != prov.Pi {
+		t.Fatalf("provisioning Pi = %d, max recomputed arc load %d", prov.Pi, maxLoad)
 	}
 	gotLoads := s.ArcLoads()
-	wantLoads := eng.ArcLoadsStrong()
 	if len(gotLoads) != len(wantLoads) {
-		t.Fatalf("snapshot ArcLoads len = %d, strong %d", len(gotLoads), len(wantLoads))
+		t.Fatalf("snapshot ArcLoads len = %d, topology has %d arcs", len(gotLoads), len(wantLoads))
 	}
 	for a := range gotLoads {
 		if gotLoads[a] != wantLoads[a] {
-			t.Fatalf("snapshot ArcLoads[%d] = %d, strong %d", a, gotLoads[a], wantLoads[a])
+			t.Fatalf("snapshot ArcLoads[%d] = %d, recomputed %d", a, gotLoads[a], wantLoads[a])
 		}
+	}
+	st := liveStats(eng)
+	if got := s.Stats(); got != st {
+		t.Fatalf("snapshot Stats = %+v, live %+v", got, st)
+	}
+	if got, want := s.DarkLive(), st.Dark(); got != want {
+		t.Fatalf("snapshot DarkLive = %d, live %d", got, want)
+	}
+	go1, gerr := s.OverlayLambda()
+	wo1, werr := liveOverlayLambda(eng)
+	if gerr != nil || werr != nil || go1 != wo1 {
+		t.Fatalf("snapshot OverlayLambda = %d (%v), live %d (%v)", go1, gerr, wo1, werr)
 	}
 	// Engine-level lock-free reads answer from the same snapshot.
 	if eng.Len() != s.Len() || eng.Pi() != s.Pi() {
@@ -63,28 +157,24 @@ func checkSnapshotAgainstStrong(t *testing.T, eng *ShardedEngine, ids []ShardedI
 	}
 	for _, id := range ids {
 		gp, gerr := s.Path(id)
-		wp, werr := eng.PathStrong(id)
+		want, werr := liveEntry(eng, id)
 		if (gerr == nil) != (werr == nil) {
-			t.Fatalf("id %v: snapshot Path err %v, strong err %v", id, gerr, werr)
+			t.Fatalf("id %v: snapshot Path err %v, live err %v", id, gerr, werr)
 		}
 		if gerr != nil {
-			if !errors.Is(gerr, ErrUnknownSession) {
-				t.Fatalf("id %v: snapshot Path err %v, want ErrUnknownSession", id, gerr)
+			if !errors.Is(gerr, ErrUnknownSession) || !errors.Is(werr, ErrUnknownSession) {
+				t.Fatalf("id %v: snapshot err %v, live err %v, want ErrUnknownSession", id, gerr, werr)
 			}
 			continue
 		}
-		if !gp.Equal(wp) {
-			t.Fatalf("id %v: snapshot Path %v, strong %v", id, gp, wp)
+		if !gp.Equal(want.path) {
+			t.Fatalf("id %v: snapshot Path %v, live %v", id, gp, want.path)
 		}
-		gw, _ := s.Wavelength(id)
-		ww, _ := eng.WavelengthStrong(id)
-		if gw != ww {
-			t.Fatalf("id %v: snapshot Wavelength %d, strong %d", id, gw, ww)
+		if gw, _ := s.Wavelength(id); gw != want.wavelength {
+			t.Fatalf("id %v: snapshot Wavelength %d, live %d", id, gw, want.wavelength)
 		}
-		gd, _ := s.IsDark(id)
-		wd, _ := eng.IsDarkStrong(id)
-		if gd != wd {
-			t.Fatalf("id %v: snapshot IsDark %v, strong %v", id, gd, wd)
+		if gd, _ := s.IsDark(id); gd != want.dark {
+			t.Fatalf("id %v: snapshot IsDark %v, live %v", id, gd, want.dark)
 		}
 	}
 }
@@ -92,8 +182,8 @@ func checkSnapshotAgainstStrong(t *testing.T, eng *ShardedEngine, ids []ShardedI
 // TestSnapshotConsistencyContract drives batches (and a fiber-cut /
 // restore / revive cycle) through a plain multi-component engine and a
 // two-level giant-component engine, asserting after every boundary that
-// the published snapshot is internally consistent with the strong
-// reads and that the sequence number strictly increases.
+// the published snapshot agrees with the live-state oracle and that the
+// sequence number strictly increases.
 func TestSnapshotConsistencyContract(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -154,15 +244,15 @@ func TestSnapshotConsistencyContract(t *testing.T) {
 					lastSeq = seq
 				}
 				// Staleness ≤ one batch: everything ApplyBatch returned is
-				// already visible, and the snapshot equals the strong reads.
-				checkSnapshotAgainstStrong(t, eng, ids)
+				// already visible, and the snapshot equals the live state.
+				checkSnapshotAgainstLive(t, eng, ids)
 
 				if batch == batches/2 {
 					cut := digraph.ArcID(rng.Intn(tc.net.Topology.NumArcs()))
 					if _, err := eng.FailArc(cut); err != nil {
 						t.Fatalf("FailArc: %v", err)
 					}
-					checkSnapshotAgainstStrong(t, eng, ids)
+					checkSnapshotAgainstLive(t, eng, ids)
 					if _, err := eng.RestoreArc(cut); err != nil {
 						t.Fatalf("RestoreArc: %v", err)
 					}
@@ -174,11 +264,76 @@ func TestSnapshotConsistencyContract(t *testing.T) {
 					} else {
 						lastSeq = seq
 					}
-					checkSnapshotAgainstStrong(t, eng, ids)
+					checkSnapshotAgainstLive(t, eng, ids)
 				}
 			}
 			if err := eng.Verify(); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestSnapshotDeferredColoring runs the query plane over engines whose
+// lanes use the deferred full-coloring strategy, plain and two-level:
+// publication materialises λ for dirty components, so a pinned
+// snapshot answers NumLambda and OverlayLambda itself — no error, no
+// fallback — and agrees with Provisioning and the overlay band, as does
+// every other read the consistency contract checks.
+func TestSnapshotDeferredColoring(t *testing.T) {
+	deferred := WithShardSessionOptions(WithColoringStrategyName(ColoringFull))
+	cases := []struct {
+		name string
+		net  *Network
+		opts []ShardedOption
+	}{
+		{"plain", multiComponentNetwork(t, 3, 941), []ShardedOption{deferred}},
+		{"two-level", giantComponentNetwork(t, 3, 942), []ShardedOption{deferred, WithSubshardThreshold(8)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := tc.net.NewShardedEngine(tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			pool := route.NewRouter(tc.net.Topology).AllToAll()
+			rng := rand.New(rand.NewSource(943))
+			var ids []ShardedID
+			for batch := 0; batch < 6; batch++ {
+				ops := make([]BatchOp, 0, 16)
+				for k := 0; k < 16; k++ {
+					if len(ids) > 20 && rng.Intn(3) == 0 {
+						ops = append(ops, RemoveOp(ids[rng.Intn(len(ids))]))
+					} else {
+						ops = append(ops, AddOp(pool[rng.Intn(len(pool))]))
+					}
+				}
+				for _, res := range eng.ApplyBatch(ops) {
+					if res.Err == nil && res.ID != (ShardedID{}) {
+						ids = append(ids, res.ID)
+					}
+				}
+				checkSnapshotAgainstLive(t, eng, ids)
+			}
+			s := eng.Snapshot()
+			defer s.Release()
+			prov, err := eng.Provisioning()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, err := s.NumLambda(); err != nil || n != prov.NumLambda || n == 0 {
+				t.Fatalf("pinned NumLambda = %d (%v), provisioning %d", n, err, prov.NumLambda)
+			}
+			band, err := liveOverlayLambda(eng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, err := s.OverlayLambda(); err != nil || n != band {
+				t.Fatalf("pinned OverlayLambda = %d (%v), overlay band %d", n, err, band)
+			}
+			if st := s.Stats(); tc.name == "two-level" && (st.TwoLevel == 0 || st.OverlayLive == 0) {
+				t.Fatalf("fixture exercised no overlay lane: %+v", st)
 			}
 		})
 	}
@@ -547,86 +702,69 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 			_, _ = eng.Wavelength(id)
 		}
 	})
-	b.Run("stats-strong", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = eng.StatsStrong()
-		}
-	})
 }
 
 // BenchmarkSnapshotReaders is the in-package smoke version of the
-// cmd/bench query-plane driver: four readers hammer the engine while
-// the benchmark loop applies batches, in snapshot (lock-free) and
-// mutex (...Strong) modes.
+// cmd/bench query-plane driver: four readers hammer the lock-free reads
+// while the benchmark loop applies batches.
 func BenchmarkSnapshotReaders(b *testing.B) {
-	for _, mode := range []string{"snapshot", "mutex"} {
-		b.Run(mode, func(b *testing.B) {
-			net := multiComponentNetwork(b, 4, 411)
-			eng, err := net.NewShardedEngine(WithShardWorkers(2))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close()
-			pool := route.NewRouter(net.Topology).AllToAll()
-			var ids []ShardedID
-			for i := 0; i < 60; i++ {
-				if id, err := eng.Add(pool[i%len(pool)]); err == nil {
-					ids = append(ids, id)
-				}
-			}
-			done := make(chan struct{})
-			var wg sync.WaitGroup
-			var reads atomic.Int64
-			for r := 0; r < 4; r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					var buf []int
-					n := int64(0)
-					for i := 0; ; i++ {
-						select {
-						case <-done:
-							reads.Add(n)
-							return
-						default:
-						}
-						id := ids[i%len(ids)]
-						if mode == "snapshot" {
-							_ = eng.Stats()
-							buf = eng.ArcLoadsInto(buf)
-							_, _ = eng.Wavelength(id)
-						} else {
-							_ = eng.StatsStrong()
-							buf = eng.ArcLoadsStrong()
-							_, _ = eng.WavelengthStrong(id)
-						}
-						n += 3
-					}
-				}(r)
-			}
-			ops := make([]BatchOp, 0, 32)
-			results := make([]BatchResult, 0, 32)
-			rng := rand.New(rand.NewSource(5))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ops = ops[:0]
-				for k := 0; k < 32; k++ {
-					ops = append(ops, AddOp(pool[rng.Intn(len(pool))]))
-				}
-				results = eng.ApplyBatchInto(ops, results)
-				ops = ops[:0]
-				for _, res := range results {
-					if res.Err == nil {
-						ops = append(ops, RemoveOp(res.ID))
-					}
-				}
-				results = eng.ApplyBatchInto(ops, results)
-			}
-			b.StopTimer()
-			close(done)
-			wg.Wait()
-			b.ReportMetric(float64(reads.Load())/b.Elapsed().Seconds(), "reads/s")
-		})
+	net := multiComponentNetwork(b, 4, 411)
+	eng, err := net.NewShardedEngine(WithShardWorkers(2))
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer eng.Close()
+	pool := route.NewRouter(net.Topology).AllToAll()
+	var ids []ShardedID
+	for i := 0; i < 60; i++ {
+		if id, err := eng.Add(pool[i%len(pool)]); err == nil {
+			ids = append(ids, id)
+		}
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var reads atomic.Int64
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			var buf []int
+			n := int64(0)
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					reads.Add(n)
+					return
+				default:
+				}
+				id := ids[i%len(ids)]
+				_ = eng.Stats()
+				buf = eng.ArcLoadsInto(buf)
+				_, _ = eng.Wavelength(id)
+				n += 3
+			}
+		}(r)
+	}
+	ops := make([]BatchOp, 0, 32)
+	results := make([]BatchResult, 0, 32)
+	rng := rand.New(rand.NewSource(5))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ops = ops[:0]
+		for k := 0; k < 32; k++ {
+			ops = append(ops, AddOp(pool[rng.Intn(len(pool))]))
+		}
+		results = eng.ApplyBatchInto(ops, results)
+		ops = ops[:0]
+		for _, res := range results {
+			if res.Err == nil {
+				ops = append(ops, RemoveOp(res.ID))
+			}
+		}
+		results = eng.ApplyBatchInto(ops, results)
+	}
+	b.StopTimer()
+	close(done)
+	wg.Wait()
+	b.ReportMetric(float64(reads.Load())/b.Elapsed().Seconds(), "reads/s")
 }

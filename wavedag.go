@@ -189,17 +189,17 @@
 //
 // The staleness contract: a snapshot is an exact, internally
 // consistent image of the engine at a mutation boundary, at most one
-// event behind the strong reads — and never behind for the caller that
+// event behind the live state — and never behind for the caller that
 // applied the event, because publication happens before the mutation
 // returns. Queries therefore always agree with each other when asked
 // of one pinned snapshot (ShardedEngine.Snapshot, released with
 // EngineSnapshot.Release; retired buffers recycle through pools only
-// after the last pin drops). Every query also has a ...Strong variant
-// that takes the engine mutex and reads live state — the linearizable
-// form, and the fallback NumLambda/OverlayLambda use when a non-default
-// coloring strategy prices λ lazily (a full solve is too expensive to
-// pay at every publication). Provisioning and Verify, which
-// materialise merged state, always run under the mutex.
+// after the last pin drops). The snapshot is the engine's only read
+// path, for every coloring strategy: publication materialises λ for
+// the components an event dirtied (an O(1) read under the default
+// incremental strategy, a from-scratch solve under the deferred full
+// one). Provisioning and Verify are the linearizable forms: they take
+// the engine mutex and materialise merged live state.
 //
 // # Admission control & budgets
 //
@@ -347,9 +347,10 @@
 // the small-batch worker-pool numbers and the trusted-translation merge
 // cost; BENCH_PR6.json adds the survivability sweep (restoration
 // latency, restored%, parked/revived counts and budget violations over
-// a 3-point MTBF axis); BENCH_PR8.json adds the serving sweep (offered
-// load at {0.5x, 1x, 2x} of measured capacity: throughput, accepted-
-// write p50/p99, shed%, drain time, shedding on vs off); `make
+// a 3-point MTBF axis); `go run ./cmd/bench -serve` runs the serving
+// sweep (offered load at {0.5x, 1x, 2x} of measured capacity:
+// throughput, accepted-write p50/p99, shed%, drain time, shedding on
+// vs off), of which no snapshot is committed; `make
 // benchsmoke` (and `make benchsmoke-survive`, `make benchsmoke-serve`)
 // keeps every benchmark compiling and running.
 //
@@ -366,8 +367,9 @@
 //   - lockfree: functions annotated //wavedag:lockfree (the snapshot
 //     query plane) must not acquire sync primitives, block on
 //     channels, allocate, or call in-module code that is not itself
-//     annotated; //wavedag:allow-alloc and line-scoped
-//     //wavedag:allow-blocking are the audited escape hatches.
+//     annotated. //wavedag:allow-alloc (grow paths, translated paths)
+//     is the one audited escape hatch; nothing waives the blocking
+//     checks, so every annotated read is lock-free without exception.
 //   - publish: a method that mutates engine state under the engine
 //     mutex must reach publishLocked() on every return path — early
 //     error returns included — so lock-free readers never trail the
@@ -442,8 +444,8 @@
 //     mutated.
 //
 // Every re-layout retires its old lanes behind immutable forward maps,
-// so ShardedIDs issued before keep resolving (strong and snapshot reads
-// alike), and AdaptiveConfig (WithAdaptiveConfig) carries the tuning:
+// so ShardedIDs issued before keep resolving (in mutations and
+// snapshot reads alike), and AdaptiveConfig (WithAdaptiveConfig) carries the tuning:
 // EWMA alpha, watermarks, hysteresis, re-split share and size floor.
 // EngineStats counts re-bands, re-splits and capacity adds. The
 // randomized equivalence suite pins every re-layout shape: after any

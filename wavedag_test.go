@@ -235,9 +235,8 @@ func TestAdmissionFacade(t *testing.T) {
 }
 
 // TestSnapshotFacade exercises the lock-free query plane through the
-// facade: the snapshot-backed engine reads, their ...Strong
-// counterparts, and a pinned wavedag.EngineSnapshot surviving churn
-// and Close.
+// facade: the snapshot-backed engine reads against Provisioning, and a
+// pinned wavedag.EngineSnapshot surviving churn and Close.
 func TestSnapshotFacade(t *testing.T) {
 	g := wavedag.NewGraph(4)
 	g.MustAddArc(0, 1)
@@ -252,8 +251,12 @@ func TestSnapshotFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Len() != 1 || eng.LenStrong() != 1 || eng.Pi() != eng.PiStrong() {
-		t.Fatalf("lock-free reads disagree with strong reads: len %d/%d", eng.Len(), eng.LenStrong())
+	prov, err := eng.Provisioning()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Len() != 1 || len(prov.Paths) != 1 || eng.Pi() != prov.Pi {
+		t.Fatalf("lock-free reads disagree with Provisioning: len %d/%d, π %d/%d", eng.Len(), len(prov.Paths), eng.Pi(), prov.Pi)
 	}
 	if w, err := eng.Wavelength(id); err != nil || w < 0 {
 		t.Fatalf("Wavelength = %d (%v)", w, err)
