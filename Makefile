@@ -11,10 +11,11 @@ verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) lint
 
-# wavedaglint enforces the concurrency and admission contracts
-# (lockfree, publish, poolpair, errwrap, registry — see the "Static
+# wavedaglint enforces the concurrency and error contracts with four
+# analyzers (lockfree, publish, poolpair, errwrap — see the "Static
 # analysis & invariants" section of the package docs). Exit 1 with
 # file:line diagnostics on any violation.
 lint:

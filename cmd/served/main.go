@@ -27,7 +27,8 @@
 //
 // Overload maps to HTTP verbatim: shed verdicts are 503 with a
 // Retry-After header, budget rejections 429, expired deadlines 504,
-// unknown sessions 404, unroutable demands 422.
+// unknown sessions 404, unroutable demands 422, and out-of-range
+// vertices or arcs, double cuts and repairs of intact arcs 400.
 package main
 
 import (
@@ -216,6 +217,8 @@ func writeOutcome(w http.ResponseWriter, resp serve.Response, ok func() any) {
 		writeJSON(w, http.StatusGatewayTimeout, errBody(resp, "deadline expired"))
 	case errors.Is(resp.Err, wdm.ErrBudgetExceeded):
 		writeJSON(w, http.StatusTooManyRequests, errBody(resp, "wavelength budget exhausted"))
+	case errors.Is(resp.Err, wdm.ErrInvalidRequest):
+		writeJSON(w, http.StatusBadRequest, errBody(resp, "invalid request"))
 	case errors.Is(resp.Err, wdm.ErrUnknownSession):
 		writeJSON(w, http.StatusNotFound, errBody(resp, "unknown session"))
 	case isNoRoute(resp.Err):

@@ -673,7 +673,7 @@ func (e *ShardedEngine) AddArc(tail, head digraph.Vertex) (digraph.ArcID, error)
 	}
 	nv := len(e.label)
 	if tail < 0 || head < 0 || int(tail) >= nv || int(head) >= nv {
-		return -1, fmt.Errorf("wdm: add arc: vertex out of range")
+		return -1, fmt.Errorf("%w: add arc: vertex out of range", ErrInvalidRequest)
 	}
 	// Clone-on-add: mutating a shared topology in place would corrupt
 	// published snapshots (their path translation reads the captured

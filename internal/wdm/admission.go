@@ -3,7 +3,6 @@ package wdm
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"wavedag/internal/digraph"
 	"wavedag/internal/dipath"
@@ -41,14 +40,14 @@ type AdmissionStats struct {
 
 // AdmissionStrategy decides the fate of requests whose routed path
 // failed a session's wavelength-budget check. Like the routing and
-// coloring strategies it is a registry-named factory: NewState builds
-// per-session state (e.g. an alternate-route router) bound to the
-// topology. The built-ins are "reject" (drop over-budget requests),
-// "retry-alt-route" (re-ask a min-load router for a path around the
-// saturated arcs) and "degrade" (accept past the budget as best-effort
-// and report those separately).
+// coloring strategies it is a factory from a closed set, selected by
+// name: NewState builds per-session state (e.g. an alternate-route
+// router) bound to the topology. The set is "reject" (drop over-budget
+// requests), "retry-alt-route" (re-ask a min-load router for a path
+// around the saturated arcs) and "degrade" (accept past the budget as
+// best-effort and report those separately).
 type AdmissionStrategy interface {
-	// Name is the registry key; it must be non-empty and unique.
+	// Name identifies the strategy (an Admission* constant).
 	Name() string
 	// NewState builds admission state bound to g.
 	NewState(g *digraph.Digraph) (AdmissionState, error)
@@ -101,64 +100,28 @@ func (c *AdmissionContext) CommitBestEffort(p *dipath.Path) (SessionID, error) {
 	return c.s.commitPath(c.req, p, true)
 }
 
-// ── Registry ───────────────────────────────────────────────────────────
+// ── Name resolution ────────────────────────────────────────────────────
 
-// Names of the built-in admission strategies.
-//
-//wavedag:registry RegisterAdmissionStrategy
+// Names of the three admission strategies WithAdmissionStrategyName
+// selects; TestStrategyNames pins each to the Name of the strategy it
+// resolves to.
 const (
 	AdmissionReject        = "reject"
 	AdmissionRetryAltRoute = "retry-alt-route"
 	AdmissionDegrade       = "degrade"
 )
 
-var admissionStrategies = map[string]AdmissionStrategy{}
-
-// RegisterAdmissionStrategy adds s to the admission registry;
-// registering a nil strategy, an empty name, or a duplicate name fails.
-func RegisterAdmissionStrategy(s AdmissionStrategy) error {
-	if s == nil || s.Name() == "" {
-		return fmt.Errorf("wdm: admission strategy must be non-nil with a non-empty name")
+// admissionByName resolves an Admission* name to its built-in strategy.
+func admissionByName(name string) (AdmissionStrategy, error) {
+	switch name {
+	case AdmissionReject:
+		return rejectStrategy{}, nil
+	case AdmissionRetryAltRoute:
+		return retryAltRouteStrategy{}, nil
+	case AdmissionDegrade:
+		return degradeStrategy{}, nil
 	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := admissionStrategies[s.Name()]; dup {
-		return fmt.Errorf("wdm: admission strategy %q already registered", s.Name())
-	}
-	admissionStrategies[s.Name()] = s
-	return nil
-}
-
-// LookupAdmissionStrategy returns the registered admission strategy
-// named name.
-func LookupAdmissionStrategy(name string) (AdmissionStrategy, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	s, ok := admissionStrategies[name]
-	return s, ok
-}
-
-// AdmissionStrategyNames returns the registered admission strategy
-// names, sorted.
-func AdmissionStrategyNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(admissionStrategies))
-	for n := range admissionStrategies {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	for _, s := range []AdmissionStrategy{
-		rejectStrategy{}, retryAltRouteStrategy{}, degradeStrategy{},
-	} {
-		if err := RegisterAdmissionStrategy(s); err != nil {
-			panic(err)
-		}
-	}
+	return nil, fmt.Errorf("wdm: unknown admission strategy %q", name)
 }
 
 // ── Built-in admission strategies ──────────────────────────────────────

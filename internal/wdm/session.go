@@ -47,7 +47,7 @@ type Session struct {
 	coloring ColoringState
 	tracker  *load.Tracker
 
-	routingName  string
+	routingStrat RoutingStrategy // rebuilds routing on a grown topology
 	coloringName string
 
 	// Budgeted admission (see WithWavelengthBudget). cycleFree gates the
@@ -129,32 +129,18 @@ type sessionConfig struct {
 // SessionOption configures NewSession.
 type SessionOption func(*sessionConfig) error
 
-// WithRoutingStrategy selects the routing strategy (default: shortest).
-func WithRoutingStrategy(s RoutingStrategy) SessionOption {
-	return func(c *sessionConfig) error {
-		if s == nil {
-			return fmt.Errorf("wdm: nil routing strategy")
-		}
-		c.routing = s
-		return nil
-	}
-}
-
-// WithRoutingPolicy selects the routing strategy registered for the
-// legacy policy constant.
+// WithRoutingPolicy selects the routing strategy of the policy
+// constant (default: RouteShortest).
 func WithRoutingPolicy(p RoutingPolicy) SessionOption {
-	return func(c *sessionConfig) error {
-		s, err := p.Strategy()
-		if err != nil {
-			return err
-		}
-		c.routing = s
-		return nil
+	return func(c *sessionConfig) (err error) {
+		c.routing, err = p.strategy()
+		return err
 	}
 }
 
-// WithColoringStrategy selects the coloring strategy (default:
-// incremental).
+// WithColoringStrategy substitutes a coloring strategy implementation;
+// it is the hook tests use to inject a fake. Callers select a built-in
+// with WithColoringStrategyName.
 func WithColoringStrategy(s ColoringStrategy) SessionOption {
 	return func(c *sessionConfig) error {
 		if s == nil {
@@ -165,15 +151,12 @@ func WithColoringStrategy(s ColoringStrategy) SessionOption {
 	}
 }
 
-// WithColoringStrategyName selects a registered coloring strategy.
+// WithColoringStrategyName selects the coloring strategy named by
+// ColoringIncremental (the default) or ColoringFull.
 func WithColoringStrategyName(name string) SessionOption {
-	return func(c *sessionConfig) error {
-		s, ok := LookupColoringStrategy(name)
-		if !ok {
-			return fmt.Errorf("wdm: unknown coloring strategy %q", name)
-		}
-		c.coloring = s
-		return nil
+	return func(c *sessionConfig) (err error) {
+		c.coloring, err = coloringByName(name)
+		return err
 	}
 }
 
@@ -216,29 +199,13 @@ func WithWavelengthBudget(w int) SessionOption {
 	}
 }
 
-// WithAdmissionStrategy selects how a budgeted session handles requests
-// that fail the budget check (default: the "reject" strategy).
-func WithAdmissionStrategy(s AdmissionStrategy) SessionOption {
-	return func(c *sessionConfig) error {
-		if s == nil {
-			return fmt.Errorf("wdm: nil admission strategy")
-		}
-		c.admission = s
-		return nil
-	}
-}
-
-// WithAdmissionStrategyName selects a registered admission strategy
-// (AdmissionReject, AdmissionRetryAltRoute or AdmissionDegrade for the
-// built-ins).
+// WithAdmissionStrategyName selects how a budgeted session handles
+// requests that fail the budget check: AdmissionReject (the default),
+// AdmissionRetryAltRoute or AdmissionDegrade.
 func WithAdmissionStrategyName(name string) SessionOption {
-	return func(c *sessionConfig) error {
-		s, ok := LookupAdmissionStrategy(name)
-		if !ok {
-			return fmt.Errorf("wdm: unknown admission strategy %q", name)
-		}
-		c.admission = s
-		return nil
+	return func(c *sessionConfig) (err error) {
+		c.admission, err = admissionByName(name)
+		return err
 	}
 }
 
@@ -278,24 +245,13 @@ func (n *Network) NewSession(opts ...SessionOption) (*Session, error) {
 		}
 	}
 	if cfg.routing == nil {
-		var err error
-		if cfg.routing, err = RouteShortest.Strategy(); err != nil {
-			return nil, err
-		}
+		cfg.routing = shortestStrategy{}
 	}
 	if cfg.coloring == nil {
-		s, ok := LookupColoringStrategy(ColoringIncremental)
-		if !ok {
-			return nil, fmt.Errorf("wdm: incremental coloring strategy not registered")
-		}
-		cfg.coloring = s
+		cfg.coloring = incrementalColoring{}
 	}
 	if cfg.budget > 0 && cfg.admission == nil {
-		a, ok := LookupAdmissionStrategy(AdmissionReject)
-		if !ok {
-			return nil, fmt.Errorf("wdm: reject admission strategy not registered")
-		}
-		cfg.admission = a
+		cfg.admission = rejectStrategy{}
 	}
 	routing, err := cfg.routing.NewState(n.Topology)
 	if err != nil {
@@ -310,7 +266,7 @@ func (n *Network) NewSession(opts ...SessionOption) (*Session, error) {
 		routing:       routing,
 		coloring:      coloring,
 		tracker:       load.NewTracker(n.Topology),
-		routingName:   cfg.routing.Name(),
+		routingStrat:  cfg.routing,
 		coloringName:  cfg.coloring.Name(),
 		budget:        cfg.budget,
 		stormRetries:  cfg.stormRetries,
@@ -335,7 +291,7 @@ func (n *Network) NewSession(opts ...SessionOption) (*Session, error) {
 
 // RoutingStrategyName returns the name of the session's routing
 // strategy.
-func (s *Session) RoutingStrategyName() string { return s.routingName }
+func (s *Session) RoutingStrategyName() string { return s.routingStrat.Name() }
 
 // ColoringStrategyName returns the name of the session's coloring
 // strategy.
@@ -919,7 +875,7 @@ func (s *Session) drainRetire() {
 // growTopology re-syncs the session's per-arc state after its topology
 // gained arcs in place (the engine's live AddArc): the load tracker and
 // the coloring state's arc incidence extend (the new arcs carry no
-// load), the routing state is rebuilt from its registered strategy —
+// load), the routing state is rebuilt from its strategy —
 // precomputed tables may depend on the arc set, and a strategy may
 // legitimately refuse the grown graph (UPP uniqueness can break) — the
 // lazily built storm detour router is dropped, and the Theorem-1 gate is
@@ -932,11 +888,7 @@ func (s *Session) growTopology() error {
 	if gr, ok := s.coloring.(interface{ GrowArcs(n int) }); ok {
 		gr.GrowArcs(g.NumArcs())
 	}
-	strat, ok := LookupRoutingStrategy(s.routingName)
-	if !ok {
-		return fmt.Errorf("wdm: routing strategy %q not registered", s.routingName)
-	}
-	rs, err := strat.NewState(g)
+	rs, err := s.routingStrat.NewState(g)
 	if err != nil {
 		return fmt.Errorf("wdm: routing setup: %w", err)
 	}

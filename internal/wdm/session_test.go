@@ -287,14 +287,10 @@ func rerouteFixture(t *testing.T) (*Session, SessionID, *int) {
 	g.MustAddArc(0, 2)
 	g.MustAddArc(2, 3)
 	fail := new(int)
-	inner, ok := LookupColoringStrategy(ColoringIncremental)
-	if !ok {
-		t.Fatal("incremental strategy not registered")
-	}
 	net := &Network{Topology: g}
 	s, err := net.NewSession(
 		WithRoutingPolicy(RouteMinLoad),
-		WithColoringStrategy(flakyColoringStrategy{inner: inner, fail: fail}),
+		WithColoringStrategy(flakyColoringStrategy{inner: incrementalColoring{}, fail: fail}),
 	)
 	if err != nil {
 		t.Fatal(err)

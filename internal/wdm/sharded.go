@@ -20,6 +20,12 @@ import (
 // ones lock-free, from the final published snapshot.
 var ErrEngineClosed = errors.New("wdm: engine closed")
 
+// ErrInvalidRequest is wrapped by ShardedEngine mutations that name a
+// vertex or arc the topology does not have, cut an already-cut arc, or
+// restore an intact one: a client mistake, refused with no state
+// change, that no retry can fix.
+var ErrInvalidRequest = errors.New("wdm: invalid request")
+
 // DefaultSubshardThreshold is the component size (in vertices) at which
 // NewShardedEngine decomposes a component into arc-disjoint regions and
 // runs it two-level. WithSubshardThreshold overrides; 0 disables.
@@ -778,7 +784,7 @@ func (e *ShardedEngine) OverlayBudgetSlice() int {
 func (e *ShardedEngine) dispatchAdd(req route.Request) (*engineShard, route.Request, error) {
 	n := len(e.label)
 	if req.Src < 0 || req.Dst < 0 || int(req.Src) >= n || int(req.Dst) >= n {
-		return nil, req, fmt.Errorf("wdm: vertex out of range")
+		return nil, req, fmt.Errorf("%w: vertex out of range", ErrInvalidRequest)
 	}
 	ci := e.label[req.Src]
 	if ci != e.label[req.Dst] {

@@ -92,33 +92,3 @@ func TestRestoreArcPublishesOnSweepError(t *testing.T) {
 		t.Fatalf("live NumFailedArcs=%d, want 0", live)
 	}
 }
-
-// TestStrategyNameConstants pins the registry contract wavedaglint's
-// registry analyzer enforces: the exported name constants, the
-// RoutingPolicy String form, and the registered strategy names must all
-// be the same string.
-func TestStrategyNameConstants(t *testing.T) {
-	routing := map[string]RoutingPolicy{
-		RouteShortestName: RouteShortest,
-		RouteMinLoadName:  RouteMinLoad,
-		RouteUPPName:      RouteUPP,
-	}
-	for name, policy := range routing {
-		if policy.String() != name {
-			t.Errorf("%v.String()=%q, want constant %q", int(policy), policy.String(), name)
-		}
-		if _, ok := routingStrategies[name]; !ok {
-			t.Errorf("no routing strategy registered under constant %q", name)
-		}
-	}
-	for _, name := range []string{ColoringIncremental, ColoringFull} {
-		if _, ok := coloringStrategies[name]; !ok {
-			t.Errorf("no coloring strategy registered under constant %q", name)
-		}
-	}
-	for _, name := range []string{AdmissionReject, AdmissionRetryAltRoute, AdmissionDegrade} {
-		if _, ok := admissionStrategies[name]; !ok {
-			t.Errorf("no admission strategy registered under constant %q", name)
-		}
-	}
-}

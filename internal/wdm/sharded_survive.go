@@ -39,10 +39,10 @@ func (e *ShardedEngine) FailArc(a digraph.ArcID) (StormReport, error) {
 	}
 	g := e.net.Topology
 	if a < 0 || int(a) >= g.NumArcs() {
-		return StormReport{}, fmt.Errorf("wdm: arc %d out of range [0,%d)", a, g.NumArcs())
+		return StormReport{}, fmt.Errorf("%w: arc %d out of range [0,%d)", ErrInvalidRequest, a, g.NumArcs())
 	}
 	if err := g.FailArc(a); err != nil {
-		return StormReport{}, err
+		return StormReport{}, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 	}
 	start := time.Now()
 	c := e.comps[e.arcComp[a]]
@@ -110,10 +110,10 @@ func (e *ShardedEngine) RestoreArc(a digraph.ArcID) (int, error) {
 	}
 	g := e.net.Topology
 	if a < 0 || int(a) >= g.NumArcs() {
-		return 0, fmt.Errorf("wdm: arc %d out of range [0,%d)", a, g.NumArcs())
+		return 0, fmt.Errorf("%w: arc %d out of range [0,%d)", ErrInvalidRequest, a, g.NumArcs())
 	}
 	if err := g.RestoreArc(a); err != nil {
-		return 0, err
+		return 0, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 	}
 	c := e.comps[e.arcComp[a]]
 	ca := e.arcLoc[a]

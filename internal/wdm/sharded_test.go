@@ -384,6 +384,52 @@ func TestBadHandleErrorsAreUnknownSession(t *testing.T) {
 	}
 }
 
+// TestClientMistakesAreInvalidRequest pins the error type of every
+// request naming a vertex or arc the topology cannot serve that way —
+// out-of-range endpoints and arcs, a second cut of a cut arc, a repair
+// of an intact one — across the batch and the single-op entry points:
+// each must satisfy errors.Is(err, ErrInvalidRequest), so a front end
+// can answer "bad request" instead of an internal error, and none may
+// change the engine's state.
+func TestClientMistakesAreInvalidRequest(t *testing.T) {
+	net := multiComponentNetwork(t, 2, 93)
+	eng, err := net.NewShardedEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := eng.FailArc(0); err != nil {
+		t.Fatalf("first cut of arc 0: %v", err)
+	}
+	nv := digraph.Vertex(net.Topology.NumVertices())
+	na := digraph.ArcID(net.Topology.NumArcs())
+	calls := map[string]func() error{
+		"AddOp bad vertex": func() error {
+			return eng.ApplyBatch([]BatchOp{AddOp(route.Request{Src: 0, Dst: nv})})[0].Err
+		},
+		"Add bad vertex":     func() error { _, err := eng.Add(route.Request{Src: -1, Dst: 0}); return err },
+		"AddArc bad vertex":  func() error { _, err := eng.AddArc(0, nv); return err },
+		"FailArc bad arc":    func() error { _, err := eng.FailArc(na); return err },
+		"RestoreArc bad arc": func() error { _, err := eng.RestoreArc(-1); return err },
+		"double cut":         func() error { _, err := eng.FailArc(0); return err },
+		"restore intact arc": func() error { _, err := eng.RestoreArc(1); return err },
+	}
+	for name, call := range calls {
+		if err := call(); !errors.Is(err, ErrInvalidRequest) {
+			t.Errorf("%s = %v, want ErrInvalidRequest", name, err)
+		}
+	}
+	if got := eng.NumFailedArcs(); got != 1 {
+		t.Fatalf("NumFailedArcs = %d after refused requests, want 1", got)
+	}
+	if got := eng.Len(); got != 0 {
+		t.Fatalf("Len = %d after refused requests, want 0", got)
+	}
+	if err := eng.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestShardedConcurrentStress hammers one engine from several
 // goroutines at once — batches, aggregates, provisioning snapshots —
 // under the race detector in CI (-race -cpu=1,4). Each goroutine

@@ -2,8 +2,6 @@ package wdm
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"wavedag/internal/core"
 	"wavedag/internal/digraph"
@@ -16,11 +14,11 @@ import (
 // RoutingStrategy converts requests into dipaths. A strategy is a
 // factory: NewState builds the per-session persistent routing state
 // (reusable routers, precomputed tables), so repeated requests on one
-// session never pay setup again. Strategies are looked up by name in a
-// registry; the legacy RoutingPolicy constants resolve to the built-in
-// entries ("shortest", "min-load", "upp").
+// session never pay setup again. The set is closed: the RoutingPolicy
+// constants resolve to the three built-ins ("shortest", "min-load",
+// "upp").
 type RoutingStrategy interface {
-	// Name is the registry key; it must be non-empty and unique.
+	// Name identifies the strategy; it equals its policy's String.
 	Name() string
 	// NewState builds routing state bound to g. It may fail when the
 	// strategy's preconditions do not hold (e.g. UPP routing on a
@@ -37,13 +35,14 @@ type RoutingState interface {
 }
 
 // ColoringStrategy maintains the wavelength assignment of a session's
-// live dipaths. Like RoutingStrategy it is a registry-named factory;
-// the built-ins are "incremental" (first-fit + bounded repair +
+// live dipaths. Like RoutingStrategy it is a factory from a closed set,
+// selected by name: "incremental" (first-fit + bounded repair +
 // slack-gated full recolor, the dynamic engine) and "full" (defer all
 // coloring to one from-scratch ColorDAG run — what one-shot Provision
-// uses).
+// uses). Tests may substitute a fake through WithColoringStrategy.
 type ColoringStrategy interface {
-	// Name is the registry key; it must be non-empty and unique.
+	// Name identifies the strategy (a Coloring* constant for the
+	// built-ins).
 	Name() string
 	// NewState builds coloring state bound to g. slack is the drift
 	// allowance for incremental maintenance (<= 0 selects the default);
@@ -81,114 +80,31 @@ type DenseFamilyState interface {
 	DenseFamily() (dipath.Family, bool)
 }
 
-// ── Registries ─────────────────────────────────────────────────────────
+// ── Name resolution ────────────────────────────────────────────────────
 
-var (
-	registryMu         sync.RWMutex
-	routingStrategies  = map[string]RoutingStrategy{}
-	coloringStrategies = map[string]ColoringStrategy{}
-)
-
-// RegisterRoutingStrategy adds s to the routing registry; registering a
-// nil strategy, an empty name, or a duplicate name fails.
-func RegisterRoutingStrategy(s RoutingStrategy) error {
-	if s == nil || s.Name() == "" {
-		return fmt.Errorf("wdm: routing strategy must be non-nil with a non-empty name")
+// strategy resolves the policy constant to its built-in routing
+// strategy, whose Name is the policy's String.
+func (p RoutingPolicy) strategy() (RoutingStrategy, error) {
+	switch p {
+	case RouteShortest:
+		return shortestStrategy{}, nil
+	case RouteMinLoad:
+		return minLoadStrategy{}, nil
+	case RouteUPP:
+		return uppStrategy{}, nil
 	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := routingStrategies[s.Name()]; dup {
-		return fmt.Errorf("wdm: routing strategy %q already registered", s.Name())
-	}
-	routingStrategies[s.Name()] = s
-	return nil
+	return nil, fmt.Errorf("wdm: unknown routing policy %v", p)
 }
 
-// LookupRoutingStrategy returns the registered routing strategy named
-// name.
-func LookupRoutingStrategy(name string) (RoutingStrategy, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	s, ok := routingStrategies[name]
-	return s, ok
-}
-
-// RoutingStrategyNames returns the registered routing strategy names,
-// sorted.
-func RoutingStrategyNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(routingStrategies))
-	for n := range routingStrategies {
-		names = append(names, n)
+// coloringByName resolves a Coloring* name to its built-in strategy.
+func coloringByName(name string) (ColoringStrategy, error) {
+	switch name {
+	case ColoringIncremental:
+		return incrementalColoring{}, nil
+	case ColoringFull:
+		return fullColoring{}, nil
 	}
-	sort.Strings(names)
-	return names
-}
-
-// RegisterColoringStrategy adds s to the coloring registry; registering
-// a nil strategy, an empty name, or a duplicate name fails.
-func RegisterColoringStrategy(s ColoringStrategy) error {
-	if s == nil || s.Name() == "" {
-		return fmt.Errorf("wdm: coloring strategy must be non-nil with a non-empty name")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := coloringStrategies[s.Name()]; dup {
-		return fmt.Errorf("wdm: coloring strategy %q already registered", s.Name())
-	}
-	coloringStrategies[s.Name()] = s
-	return nil
-}
-
-// LookupColoringStrategy returns the registered coloring strategy named
-// name.
-func LookupColoringStrategy(name string) (ColoringStrategy, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	s, ok := coloringStrategies[name]
-	return s, ok
-}
-
-// ColoringStrategyNames returns the registered coloring strategy names,
-// sorted.
-func ColoringStrategyNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(coloringStrategies))
-	for n := range coloringStrategies {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Strategy resolves the legacy policy constant to its registered
-// strategy — the RoutingPolicy switch of earlier versions, turned into
-// a registry lookup.
-func (p RoutingPolicy) Strategy() (RoutingStrategy, error) {
-	s, ok := LookupRoutingStrategy(p.String())
-	if !ok {
-		return nil, fmt.Errorf("wdm: unknown routing policy %v", p)
-	}
-	return s, nil
-}
-
-func init() {
-	for _, s := range []RoutingStrategy{
-		shortestStrategy{}, minLoadStrategy{}, uppStrategy{},
-	} {
-		if err := RegisterRoutingStrategy(s); err != nil {
-			panic(err)
-		}
-	}
-	for _, s := range []ColoringStrategy{
-		incrementalColoring{}, fullColoring{},
-	} {
-		if err := RegisterColoringStrategy(s); err != nil {
-			panic(err)
-		}
-	}
+	return nil, fmt.Errorf("wdm: unknown coloring strategy %q", name)
 }
 
 // ── Built-in routing strategies ────────────────────────────────────────
@@ -251,10 +167,9 @@ func (s uppState) Route(req route.Request, _ *load.Tracker) (*dipath.Path, error
 
 // ── Built-in coloring strategies ───────────────────────────────────────
 
-// ColoringIncremental and ColoringFull are the names of the built-in
-// coloring strategies.
-//
-//wavedag:registry RegisterColoringStrategy
+// ColoringIncremental and ColoringFull name the two coloring
+// strategies WithColoringStrategyName selects; TestStrategyNames pins
+// each to the Name of the strategy it resolves to.
 const (
 	ColoringIncremental = "incremental"
 	ColoringFull        = "full"

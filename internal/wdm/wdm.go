@@ -37,11 +37,9 @@ const (
 	RouteUPP                           // unique dipaths (UPP-DAGs only)
 )
 
-// Names of the built-in routing strategies, as registered and as
-// returned by RoutingPolicy.String. They are constants so the registry
-// names can never drift from the documented ones.
-//
-//wavedag:registry RegisterRoutingStrategy
+// Names of the three routing strategies, as returned by
+// RoutingPolicy.String and by the resolved strategy's Name;
+// TestStrategyNames pins the two to each other.
 const (
 	RouteShortestName = "shortest"
 	RouteMinLoadName  = "min-load"
@@ -75,19 +73,15 @@ type Provisioning struct {
 	ADMs int
 }
 
-// Provision runs routing (per the policy's registered strategy) then
+// Provision runs routing (per the policy's built-in strategy) then
 // wavelength assignment (per the strongest applicable theorem) for the
 // requests. It is a thin wrapper over a throwaway Session with the
 // "full" coloring strategy: adds route and account load incrementally,
 // and the single Provisioning() call at the end colors once from
 // scratch — identical results to the historical one-shot pipeline.
 func (n *Network) Provision(reqs []route.Request, policy RoutingPolicy) (*Provisioning, error) {
-	strat, err := policy.Strategy()
-	if err != nil {
-		return nil, err
-	}
 	s, err := n.NewSession(
-		WithRoutingStrategy(strat),
+		WithRoutingPolicy(policy),
 		WithColoringStrategyName(ColoringFull),
 		WithCapacityHint(len(reqs)),
 	)

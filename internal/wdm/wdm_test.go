@@ -202,39 +202,73 @@ func TestADMsSharedTerminations(t *testing.T) {
 	}
 }
 
-// TestStrategyRegistry checks the policy constants resolve through the
-// registry and the registry rejects bad registrations.
-func TestStrategyRegistry(t *testing.T) {
-	for _, p := range []RoutingPolicy{RouteShortest, RouteMinLoad, RouteUPP} {
-		s, err := p.Strategy()
+// TestStrategyNames pins the closed strategy sets to their documented
+// names: each RoutingPolicy's String is its Route*Name constant and
+// resolves to a strategy of that Name, each Coloring* and Admission*
+// constant opens a session reporting that strategy name, and unknown
+// policies and names are errors.
+func TestStrategyNames(t *testing.T) {
+	g := digraph.New(4) // a directed path: UPP, so every policy opens
+	g.MustAddArc(0, 1)
+	g.MustAddArc(1, 2)
+	g.MustAddArc(2, 3)
+	net := &Network{Topology: g}
+	open := func(opts ...SessionOption) *Session {
+		t.Helper()
+		s, err := net.NewSession(append(opts, WithWavelengthBudget(2))...)
 		if err != nil {
-			t.Fatalf("policy %v not registered: %v", p, err)
+			t.Fatal(err)
 		}
-		if s.Name() != p.String() {
-			t.Fatalf("policy %v resolved to strategy %q", p, s.Name())
+		return s
+	}
+
+	for _, tc := range []struct {
+		policy RoutingPolicy
+		name   string
+	}{
+		{RouteShortest, RouteShortestName},
+		{RouteMinLoad, RouteMinLoadName},
+		{RouteUPP, RouteUPPName},
+	} {
+		if got := tc.policy.String(); got != tc.name {
+			t.Errorf("policy %d String()=%q, want %q", int(tc.policy), got, tc.name)
 		}
-	}
-	if _, err := RoutingPolicy(99).Strategy(); err == nil {
-		t.Fatal("unknown policy resolved")
-	}
-	if err := RegisterRoutingStrategy(nil); err == nil {
-		t.Fatal("nil strategy registered")
-	}
-	if err := RegisterRoutingStrategy(shortestStrategy{}); err == nil {
-		t.Fatal("duplicate strategy registered")
-	}
-	if err := RegisterColoringStrategy(fullColoring{}); err == nil {
-		t.Fatal("duplicate coloring strategy registered")
+		strat, err := tc.policy.strategy()
+		if err != nil {
+			t.Fatalf("policy %q: %v", tc.name, err)
+		}
+		if strat.Name() != tc.name {
+			t.Errorf("policy %q resolved to strategy %q", tc.name, strat.Name())
+		}
+		if got := open(WithRoutingPolicy(tc.policy)).RoutingStrategyName(); got != tc.name {
+			t.Errorf("WithRoutingPolicy(%q) session reports %q", tc.name, got)
+		}
 	}
 	for _, name := range []string{ColoringIncremental, ColoringFull} {
-		if _, ok := LookupColoringStrategy(name); !ok {
-			t.Fatalf("built-in coloring strategy %q missing", name)
+		if got := open(WithColoringStrategyName(name)).ColoringStrategyName(); got != name {
+			t.Errorf("WithColoringStrategyName(%q) session reports %q", name, got)
 		}
 	}
-	if names := RoutingStrategyNames(); len(names) < 3 {
-		t.Fatalf("routing strategy names: %v", names)
+	for _, name := range []string{AdmissionReject, AdmissionRetryAltRoute, AdmissionDegrade} {
+		if got := open(WithAdmissionStrategyName(name)).AdmissionStrategyName(); got != name {
+			t.Errorf("WithAdmissionStrategyName(%q) session reports %q", name, got)
+		}
 	}
-	if names := ColoringStrategyNames(); len(names) < 2 {
-		t.Fatalf("coloring strategy names: %v", names)
+
+	s := open()
+	if s.RoutingStrategyName() != RouteShortestName || s.ColoringStrategyName() != ColoringIncremental ||
+		s.AdmissionStrategyName() != AdmissionReject {
+		t.Errorf("defaults: routing %q, coloring %q, admission %q", s.RoutingStrategyName(),
+			s.ColoringStrategyName(), s.AdmissionStrategyName())
+	}
+
+	for _, opt := range []SessionOption{
+		WithRoutingPolicy(RoutingPolicy(99)),
+		WithColoringStrategyName("nope"),
+		WithAdmissionStrategyName("nope"),
+	} {
+		if _, err := net.NewSession(opt); err == nil {
+			t.Error("unknown policy or strategy name accepted")
+		}
 	}
 }

@@ -85,9 +85,10 @@
 // Session.Add/Remove/Reroute are the operations; Session.Verify checks
 // the live assignment against the conflict invariant, and
 // Session.Provisioning materialises a Provisioning snapshot. Routing
-// and coloring are pluggable strategies resolved from registries
-// (RegisterRoutingStrategy / RegisterColoringStrategy); the legacy
-// RoutingPolicy constants resolve to the built-in strategies, and
+// and coloring each pick from a closed set of strategies fixed at
+// compile time: WithRoutingPolicy takes a RoutingPolicy constant
+// (shortest, min-load, UPP), WithColoringStrategyName a Coloring* name
+// (incremental, full), and an unknown policy or name is an error.
 // Provision itself is a thin wrapper over a throwaway session with the
 // "full" (defer-and-solve-once) coloring strategy. The randomized churn
 // equivalence tests pin the session to the one-shot pipeline:
@@ -225,12 +226,12 @@
 //     disturbing the live assignment (one palette repack allowed), and
 //     a rejection rolls the insertion back exactly.
 //
-// What happens to over-budget requests is a pluggable AdmissionStrategy
-// resolved from a registry, exactly like routing and coloring: "reject"
-// drops them (the default — blocking-probability experiments measure
-// this), "retry-alt-route" re-asks a min-load router for a detour
-// around the saturated arcs and recovers the request when one fits, and
-// "degrade" accepts them as best-effort traffic reported separately
+// What happens to over-budget requests is one of a closed set of
+// admission strategies, selected by WithAdmissionStrategyName exactly
+// like coloring: "reject" drops them (the default —
+// blocking-probability experiments measure this), "retry-alt-route"
+// re-asks a min-load router for a detour around the saturated arcs and
+// recovers the request when one fits, and "degrade" accepts them as best-effort traffic reported separately
 // (suspending the λ ≤ w guarantee while any is live). TryAdd returns
 // the Admission decision without an error detour; Add wraps rejections
 // in ErrBudgetExceeded; AdmissionStats counts offers, accepts, rejects,
@@ -361,7 +362,7 @@
 // internal/lint): a stdlib-only analyzer suite that loads the module
 // through `go list -export` and the gc export-data importer — no
 // third-party analysis framework. `make lint` runs it over the whole
-// repository and fails on any finding. Five analyzers cover the five
+// repository and fails on any finding. Four analyzers cover the four
 // contracts:
 //
 //   - lockfree: functions annotated //wavedag:lockfree (the snapshot
@@ -382,11 +383,6 @@
 //   - errwrap: the exported sentinels (ErrShed, ErrBudgetExceeded,
 //     ErrEngineClosed, ...) must be wrapped with %w and tested with
 //     errors.Is, never compared with == or matched in a switch.
-//   - registry: strategy registrations need distinct compile-time
-//     constant names, and every constant of a const block annotated
-//     //wavedag:registry <RegisterFunc> must have a registered
-//     implementation, so documented names cannot drift from the
-//     registries.
 //
 // The analyzers are themselves pinned by golden-file tests over a
 // fixture module of seeded violations (internal/lint/testdata), and
@@ -519,12 +515,6 @@ type (
 	// RoutingPolicy selects a built-in routing strategy for Provision
 	// and WithRoutingPolicy.
 	RoutingPolicy = wdm.RoutingPolicy
-	// RoutingStrategy is the pluggable request→dipath layer of sessions;
-	// register implementations with RegisterRoutingStrategy.
-	RoutingStrategy = wdm.RoutingStrategy
-	// ColoringStrategy is the pluggable wavelength-maintenance layer of
-	// sessions; register implementations with RegisterColoringStrategy.
-	ColoringStrategy = wdm.ColoringStrategy
 	// DynamicConflictGraph is a mutable conflict graph maintained under
 	// dipath insertion/removal (see NewDynamicConflictGraph).
 	DynamicConflictGraph = conflict.Dynamic
@@ -571,20 +561,6 @@ type (
 	Admission = wdm.Admission
 	// AdmissionStats counts a session's cumulative admission outcomes.
 	AdmissionStats = wdm.AdmissionStats
-	// AdmissionStrategy decides the fate of over-budget requests;
-	// register implementations with RegisterAdmissionStrategy.
-	AdmissionStrategy = wdm.AdmissionStrategy
-	// AdmissionState is per-session admission state built by an
-	// AdmissionStrategy.
-	AdmissionState = wdm.AdmissionState
-	// AdmissionContext is the controlled session view an AdmissionState
-	// decides through.
-	AdmissionContext = wdm.AdmissionContext
-	// BudgetedColoringState is the optional ColoringState extension that
-	// gives a custom coloring strategy native budget admission (exact
-	// rollback probe + λ enforcement) instead of the generic
-	// add-measure-rollback fallback.
-	BudgetedColoringState = wdm.BudgetedColoringState
 	// OnlineMaxRequests is the online max-request selection: dipaths
 	// offered one at a time against a wavelength budget (see
 	// NewOnlineMaxRequests).
@@ -630,6 +606,11 @@ type (
 // snapshot.
 var ErrEngineClosed = wdm.ErrEngineClosed
 
+// ErrInvalidRequest is the sentinel wrapped by ShardedEngine mutations
+// that name a vertex or arc outside the topology, cut an already-cut
+// arc, or restore an intact one; cmd/served answers it with 400.
+var ErrInvalidRequest = wdm.ErrInvalidRequest
+
 // ErrBudgetExceeded is the sentinel wrapped by Add (and batch results)
 // when budget admission rejects a request; TryAdd reports the same
 // outcome as a non-error Admission decision.
@@ -651,10 +632,11 @@ var ErrServerClosed = serve.ErrServerClosed
 
 // IsTransient reports whether a serving error is worth retrying after
 // backoff (shed verdicts, budget rejections); permanent errors — no
-// route, unknown session, expired deadline, closed server — are not.
+// route, unknown session, invalid request, expired deadline, closed
+// server — are not.
 func IsTransient(err error) bool { return serve.IsTransient(err) }
 
-// Names of the built-in admission strategies.
+// Names of the admission strategies WithAdmissionStrategyName selects.
 const (
 	AdmissionReject        = wdm.AdmissionReject
 	AdmissionRetryAltRoute = wdm.AdmissionRetryAltRoute
@@ -672,7 +654,7 @@ const (
 	RouteUPP      = wdm.RouteUPP
 )
 
-// Names of the built-in coloring strategies.
+// Names of the coloring strategies WithColoringStrategyName selects.
 const (
 	ColoringIncremental = wdm.ColoringIncremental
 	ColoringFull        = wdm.ColoringFull
@@ -680,18 +662,12 @@ const (
 
 // Session options, re-exported from the wdm layer.
 
-// WithRoutingStrategy selects a session's routing strategy.
-func WithRoutingStrategy(s RoutingStrategy) SessionOption { return wdm.WithRoutingStrategy(s) }
-
-// WithRoutingPolicy selects the routing strategy registered for a
-// built-in policy constant.
+// WithRoutingPolicy selects the routing strategy of a policy constant
+// (default: RouteShortest).
 func WithRoutingPolicy(p RoutingPolicy) SessionOption { return wdm.WithRoutingPolicy(p) }
 
-// WithColoringStrategy selects a session's coloring strategy.
-func WithColoringStrategy(s ColoringStrategy) SessionOption { return wdm.WithColoringStrategy(s) }
-
-// WithColoringStrategyName selects a registered coloring strategy by
-// name (ColoringIncremental or ColoringFull for the built-ins).
+// WithColoringStrategyName selects a coloring strategy by name:
+// ColoringIncremental (the default) or ColoringFull.
 func WithColoringStrategyName(name string) SessionOption {
 	return wdm.WithColoringStrategyName(name)
 }
@@ -709,15 +685,9 @@ func WithCapacityHint(n int) SessionOption { return wdm.WithCapacityHint(n) }
 // "Admission control & budgets" section). w <= 0 means unlimited.
 func WithWavelengthBudget(w int) SessionOption { return wdm.WithWavelengthBudget(w) }
 
-// WithAdmissionStrategy selects how a budgeted session handles
-// over-budget requests (default: reject).
-func WithAdmissionStrategy(s AdmissionStrategy) SessionOption {
-	return wdm.WithAdmissionStrategy(s)
-}
-
-// WithAdmissionStrategyName selects a registered admission strategy by
-// name (AdmissionReject, AdmissionRetryAltRoute or AdmissionDegrade for
-// the built-ins).
+// WithAdmissionStrategyName selects how a budgeted session handles
+// over-budget requests: AdmissionReject (the default),
+// AdmissionRetryAltRoute or AdmissionDegrade.
 func WithAdmissionStrategyName(name string) SessionOption {
 	return wdm.WithAdmissionStrategyName(name)
 }
@@ -797,49 +767,6 @@ func RemoveOp(id ShardedID) BatchOp { return wdm.RemoveOp(id) }
 
 // RerouteOp returns the batch event re-routing id.
 func RerouteOp(id ShardedID) BatchOp { return wdm.RerouteOp(id) }
-
-// Strategy registries, re-exported from the wdm layer.
-
-// RegisterRoutingStrategy adds a routing strategy to the registry.
-func RegisterRoutingStrategy(s RoutingStrategy) error { return wdm.RegisterRoutingStrategy(s) }
-
-// RegisterColoringStrategy adds a coloring strategy to the registry.
-func RegisterColoringStrategy(s ColoringStrategy) error { return wdm.RegisterColoringStrategy(s) }
-
-// LookupRoutingStrategy returns the registered routing strategy named
-// name.
-func LookupRoutingStrategy(name string) (RoutingStrategy, bool) {
-	return wdm.LookupRoutingStrategy(name)
-}
-
-// LookupColoringStrategy returns the registered coloring strategy named
-// name.
-func LookupColoringStrategy(name string) (ColoringStrategy, bool) {
-	return wdm.LookupColoringStrategy(name)
-}
-
-// RegisterAdmissionStrategy adds an admission strategy to the registry.
-func RegisterAdmissionStrategy(s AdmissionStrategy) error {
-	return wdm.RegisterAdmissionStrategy(s)
-}
-
-// LookupAdmissionStrategy returns the registered admission strategy
-// named name.
-func LookupAdmissionStrategy(name string) (AdmissionStrategy, bool) {
-	return wdm.LookupAdmissionStrategy(name)
-}
-
-// AdmissionStrategyNames returns the registered admission strategy
-// names, sorted.
-func AdmissionStrategyNames() []string { return wdm.AdmissionStrategyNames() }
-
-// RoutingStrategyNames returns the registered routing strategy names,
-// sorted.
-func RoutingStrategyNames() []string { return wdm.RoutingStrategyNames() }
-
-// ColoringStrategyNames returns the registered coloring strategy names,
-// sorted.
-func ColoringStrategyNames() []string { return wdm.ColoringStrategyNames() }
 
 // NewDynamicConflictGraph returns an empty mutable conflict graph for
 // dipaths of g: AddPath/RemovePath maintain adjacency with arc-indexed

@@ -159,9 +159,9 @@ func TestSessionFacade(t *testing.T) {
 }
 
 // TestAdmissionFacade exercises the budgeted-admission API through the
-// facade: session budgets, the admission registry, the budgeted sharded
-// engine with its lane stats, and the online max-request selection
-// against its offline oracles.
+// facade: session budgets, admission strategy selection by name, the
+// budgeted sharded engine with its lane stats, and the online
+// max-request selection against its offline oracles.
 func TestAdmissionFacade(t *testing.T) {
 	// Directed path 0 -> 1 -> 2 -> 3: a Theorem-1 topology.
 	g := wavedag.NewGraph(4)
@@ -169,15 +169,22 @@ func TestAdmissionFacade(t *testing.T) {
 	g.MustAddArc(1, 2)
 	g.MustAddArc(2, 3)
 
+	net := &wavedag.Network{Topology: g}
 	for _, name := range []string{
 		wavedag.AdmissionReject, wavedag.AdmissionRetryAltRoute, wavedag.AdmissionDegrade,
 	} {
-		if _, ok := wavedag.LookupAdmissionStrategy(name); !ok {
-			t.Fatalf("built-in admission strategy %q not registered", name)
+		s, err := net.NewSession(wavedag.WithWavelengthBudget(1), wavedag.WithAdmissionStrategyName(name))
+		if err != nil {
+			t.Fatalf("admission strategy %q: %v", name, err)
+		}
+		if got := s.AdmissionStrategyName(); got != name {
+			t.Fatalf("WithAdmissionStrategyName(%q) session reports %q", name, got)
 		}
 	}
+	if _, err := net.NewSession(wavedag.WithAdmissionStrategyName("nope")); err == nil {
+		t.Fatal("unknown admission strategy name accepted")
+	}
 
-	net := &wavedag.Network{Topology: g}
 	s, err := net.NewSession(wavedag.WithWavelengthBudget(1))
 	if err != nil {
 		t.Fatal(err)
