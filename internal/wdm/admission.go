@@ -103,7 +103,7 @@ func (c *AdmissionContext) CommitBestEffort(p *dipath.Path) (SessionID, error) {
 // ── Name resolution ────────────────────────────────────────────────────
 
 // Names of the three admission strategies WithAdmissionStrategyName
-// selects; TestStrategyNames pins each to the Name of the strategy it
+// selects; TestStrategyRegistry pins each to the Name of the strategy it
 // resolves to.
 const (
 	AdmissionReject        = "reject"

@@ -168,7 +168,7 @@ func (s uppState) Route(req route.Request, _ *load.Tracker) (*dipath.Path, error
 // ── Built-in coloring strategies ───────────────────────────────────────
 
 // ColoringIncremental and ColoringFull name the two coloring
-// strategies WithColoringStrategyName selects; TestStrategyNames pins
+// strategies WithColoringStrategyName selects; TestStrategyRegistry pins
 // each to the Name of the strategy it resolves to.
 const (
 	ColoringIncremental = "incremental"

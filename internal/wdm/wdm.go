@@ -39,7 +39,7 @@ const (
 
 // Names of the three routing strategies, as returned by
 // RoutingPolicy.String and by the resolved strategy's Name;
-// TestStrategyNames pins the two to each other.
+// TestStrategyRegistry pins the two to each other.
 const (
 	RouteShortestName = "shortest"
 	RouteMinLoadName  = "min-load"

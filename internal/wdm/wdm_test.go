@@ -202,12 +202,66 @@ func TestADMsSharedTerminations(t *testing.T) {
 	}
 }
 
-// TestStrategyNames pins the closed strategy sets to their documented
-// names: each RoutingPolicy's String is its Route*Name constant and
-// resolves to a strategy of that Name, each Coloring* and Admission*
-// constant opens a session reporting that strategy name, and unknown
-// policies and names are errors.
-func TestStrategyNames(t *testing.T) {
+// TestStrategyRegistry checks the closed strategy sets that replaced the
+// name-keyed registries: every RoutingPolicy, Coloring* and Admission*
+// constant resolves through its layer's switch to a strategy of that
+// name, and unknown policies and names are errors, both from the
+// resolvers and from NewSession.
+func TestStrategyRegistry(t *testing.T) {
+	for _, p := range []RoutingPolicy{RouteShortest, RouteMinLoad, RouteUPP} {
+		s, err := p.strategy()
+		if err != nil {
+			t.Fatalf("policy %v does not resolve: %v", p, err)
+		}
+		if s.Name() != p.String() {
+			t.Fatalf("policy %v resolved to strategy %q", p, s.Name())
+		}
+	}
+	for _, name := range []string{ColoringIncremental, ColoringFull} {
+		s, err := coloringByName(name)
+		if err != nil {
+			t.Fatalf("built-in coloring strategy %q: %v", name, err)
+		}
+		if s.Name() != name {
+			t.Fatalf("coloring name %q resolved to strategy %q", name, s.Name())
+		}
+	}
+	for _, name := range []string{AdmissionReject, AdmissionRetryAltRoute, AdmissionDegrade} {
+		s, err := admissionByName(name)
+		if err != nil {
+			t.Fatalf("built-in admission strategy %q: %v", name, err)
+		}
+		if s.Name() != name {
+			t.Fatalf("admission name %q resolved to strategy %q", name, s.Name())
+		}
+	}
+
+	if _, err := RoutingPolicy(99).strategy(); err == nil {
+		t.Fatal("unknown policy resolved")
+	}
+	if _, err := coloringByName("nope"); err == nil {
+		t.Fatal("unknown coloring strategy resolved")
+	}
+	if _, err := admissionByName("nope"); err == nil {
+		t.Fatal("unknown admission strategy resolved")
+	}
+	net := &Network{Topology: digraph.New(2)}
+	for _, opt := range []SessionOption{
+		WithRoutingPolicy(RoutingPolicy(99)),
+		WithColoringStrategyName("nope"),
+		WithAdmissionStrategyName("nope"),
+	} {
+		if _, err := net.NewSession(opt); err == nil {
+			t.Error("unknown policy or strategy name accepted by NewSession")
+		}
+	}
+}
+
+// TestStrategyNameConstants pins the exported name constants to the
+// strategies they select: each RoutingPolicy's String is its Route*Name
+// constant, each constant opens a session reporting that strategy name,
+// and a session with no options reports the documented defaults.
+func TestStrategyNameConstants(t *testing.T) {
 	g := digraph.New(4) // a directed path: UPP, so every policy opens
 	g.MustAddArc(0, 1)
 	g.MustAddArc(1, 2)
@@ -233,13 +287,6 @@ func TestStrategyNames(t *testing.T) {
 		if got := tc.policy.String(); got != tc.name {
 			t.Errorf("policy %d String()=%q, want %q", int(tc.policy), got, tc.name)
 		}
-		strat, err := tc.policy.strategy()
-		if err != nil {
-			t.Fatalf("policy %q: %v", tc.name, err)
-		}
-		if strat.Name() != tc.name {
-			t.Errorf("policy %q resolved to strategy %q", tc.name, strat.Name())
-		}
 		if got := open(WithRoutingPolicy(tc.policy)).RoutingStrategyName(); got != tc.name {
 			t.Errorf("WithRoutingPolicy(%q) session reports %q", tc.name, got)
 		}
@@ -260,15 +307,5 @@ func TestStrategyNames(t *testing.T) {
 		s.AdmissionStrategyName() != AdmissionReject {
 		t.Errorf("defaults: routing %q, coloring %q, admission %q", s.RoutingStrategyName(),
 			s.ColoringStrategyName(), s.AdmissionStrategyName())
-	}
-
-	for _, opt := range []SessionOption{
-		WithRoutingPolicy(RoutingPolicy(99)),
-		WithColoringStrategyName("nope"),
-		WithAdmissionStrategyName("nope"),
-	} {
-		if _, err := net.NewSession(opt); err == nil {
-			t.Error("unknown policy or strategy name accepted")
-		}
 	}
 }
