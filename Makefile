@@ -26,6 +26,7 @@ lint:
 fuzzsmoke:
 	$(GO) test -run=NONE -fuzz=FuzzTheorem1Precheck -fuzztime=10s ./internal/wdm
 	$(GO) test -run=NONE -fuzz=FuzzPartitionRegions -fuzztime=10s ./internal/digraph
+	$(GO) test -run=NONE -fuzz=FuzzDynamicDSATUR -fuzztime=10s ./internal/conflict
 
 test: verify
 

@@ -107,8 +107,8 @@ func (g *Graph) GreedyColoring(order []int) []int {
 // id) with the smallest feasible color. Saturation never crosses a
 // component boundary, so the global run restricted to a component equals
 // the run on that component alone — the heuristic is therefore sharded
-// through Components like the exact solvers (identical output, quadratic
-// selection cost paid per component instead of globally).
+// through Components like the exact solvers (identical output; each
+// component runs the bucketed kernel in dsatur.go).
 func (g *Graph) DSATURColoring() []int {
 	comps := g.Components()
 	if len(comps) <= 1 {
@@ -126,40 +126,14 @@ func (g *Graph) DSATURColoring() []int {
 	return colors
 }
 
+// dsaturConnected runs the DSATUR kernel over the whole graph.
 func (g *Graph) dsaturConnected() []int {
+	verts := make([]int, g.n)
+	for i := range verts {
+		verts[i] = i
+	}
 	colors := make([]int, g.n)
-	for i := range colors {
-		colors[i] = -1
-	}
-	satRows := make([]row, g.n) // bit c set = neighbor colored c
-	satCount := make([]int, g.n)
-	words := (g.n + 64) / 64        // room for colors 0..g.n
-	backing := make(row, g.n*words) // one backing array for all saturation rows
-	for i := range satRows {
-		satRows[i] = backing[i*words : (i+1)*words]
-	}
-	for done := 0; done < g.n; done++ {
-		best, bestSat, bestDeg := -1, -1, -1
-		for v := 0; v < g.n; v++ {
-			if colors[v] >= 0 {
-				continue
-			}
-			if satCount[v] > bestSat || (satCount[v] == bestSat && g.deg[v] > bestDeg) {
-				best, bestSat, bestDeg = v, satCount[v], g.deg[v]
-			}
-		}
-		c := 0
-		for satRows[best].get(c) {
-			c++
-		}
-		colors[best] = c
-		g.rows[best].forEach(func(u int) {
-			if colors[u] < 0 && !satRows[u].get(c) {
-				satRows[u].set(c)
-				satCount[u]++
-			}
-		})
-	}
+	dsatur(verts, g.rows, g.deg, colors)
 	return colors
 }
 

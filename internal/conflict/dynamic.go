@@ -29,6 +29,11 @@ import (
 // the dipaths through the most loaded arc pairwise conflict, so
 // maxload ≤ ω ≤ χ.
 //
+// Dynamic also colors: DSATURColoring runs the package's DSATUR kernel
+// straight on the adjacency rows and degrees it keeps, so the
+// incremental coloring's from-scratch fallback builds no static Graph,
+// and Row hands out a slot's bitset for word-parallel first-fit scans.
+//
 // A Dynamic is not safe for concurrent use.
 type Dynamic struct {
 	g     *digraph.Digraph
@@ -87,6 +92,12 @@ func (d *Dynamic) HasConflict(s, t int) bool {
 func (d *Dynamic) ForEachConflict(s int, f func(t int)) {
 	d.rows[s].forEach(f)
 }
+
+// Row returns the conflict bitset of slot s: bit t of word t/64 is set
+// exactly when slot t is live and conflicts with s. Every set bit is
+// below NumSlots(). The slice aliases internal state; callers must not
+// modify it, and it is valid only until the next AddPath or RemovePath.
+func (d *Dynamic) Row(s int) []uint64 { return d.rows[s] }
 
 // ArcLoad returns the number of live dipaths traversing arc a.
 func (d *Dynamic) ArcLoad(a digraph.ArcID) int { return len(d.arcPaths[a]) }
@@ -266,9 +277,22 @@ func (d *Dynamic) Family() dipath.Family {
 	return fam
 }
 
+// DSATURColoring colors the live dipaths with the DSATUR heuristic and
+// returns the live slots in increasing order with their colors,
+// parallel. It runs the same kernel as Graph.DSATURColoring on the
+// adjacency bitsets in place, so the answer equals
+// Snapshot().DSATURColoring() read through the snapshot's slot list,
+// without building the snapshot: O(live·words + Σ degree).
+func (d *Dynamic) DSATURColoring() (slots, colors []int) {
+	slots = d.LiveSlots()
+	colors = make([]int, len(slots))
+	dsatur(slots, d.rows, d.deg, colors)
+	return slots, colors
+}
+
 // Snapshot compacts the live slots into a static Graph (vertex i of the
-// result is slots[i]) for the one-shot solvers — the full-recolor
-// fallback of the incremental coloring and the invariant checks.
+// result is slots[i]): the static oracle of invariant checks and tests.
+// The incremental coloring colors through DSATURColoring instead.
 func (d *Dynamic) Snapshot() (*Graph, []int) {
 	slots := d.LiveSlots()
 	pos := make([]int, len(d.paths))

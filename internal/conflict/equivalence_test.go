@@ -87,12 +87,18 @@ func TestEquivalenceRandom(t *testing.T) {
 			}
 		}
 
-		// DSATUR: the sharded run must reproduce the global run exactly.
+		// DSATUR: the sharded run must reproduce the global run exactly,
+		// and the bucketed kernel the original selection scan.
 		sharded := g.DSATURColoring()
 		global := g.dsaturConnected()
+		refDSATUR := g.refDSATUR()
 		for v := range sharded {
 			if sharded[v] != global[v] {
 				t.Errorf("n=%d seed=%d: DSATUR sharded[%d]=%d, global %d", tc.n, tc.seed, v, sharded[v], global[v])
+				break
+			}
+			if global[v] != refDSATUR[v] {
+				t.Errorf("n=%d seed=%d: DSATUR global[%d]=%d, reference %d", tc.n, tc.seed, v, global[v], refDSATUR[v])
 				break
 			}
 		}

@@ -8,6 +8,43 @@ import "sort"
 // exist only as oracles for the randomized equivalence tests — the
 // optimized solvers in color.go must agree with them on every instance.
 
+// refDSATUR is the original DSATUR with an O(n) selection scan per
+// pick: largest saturation, then largest degree, then smallest id.
+func (g *Graph) refDSATUR() []int {
+	colors := make([]int, g.n)
+	for i := range colors {
+		colors[i] = -1
+	}
+	satRows := make([]row, g.n) // bit c set = neighbor colored c
+	satCount := make([]int, g.n)
+	for i := range satRows {
+		satRows[i] = newRow(g.n + 1)
+	}
+	for done := 0; done < g.n; done++ {
+		best, bestSat, bestDeg := -1, -1, -1
+		for v := 0; v < g.n; v++ {
+			if colors[v] >= 0 {
+				continue
+			}
+			if satCount[v] > bestSat || (satCount[v] == bestSat && g.deg[v] > bestDeg) {
+				best, bestSat, bestDeg = v, satCount[v], g.deg[v]
+			}
+		}
+		c := 0
+		for satRows[best].get(c) {
+			c++
+		}
+		colors[best] = c
+		for _, u := range g.Neighbors(best) {
+			if colors[u] < 0 && !satRows[u].get(c) {
+				satRows[u].set(c)
+				satCount[u]++
+			}
+		}
+	}
+	return colors
+}
+
 // refGreedyColoring is the original first-fit coloring with an O(n) full
 // reset of the feasibility scratch per vertex.
 func (g *Graph) refGreedyColoring(order []int) []int {

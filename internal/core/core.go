@@ -77,23 +77,44 @@ func ColorDAG(g *digraph.Digraph, fam dipath.Family) (*Result, Method, error) {
 // known to be valid dipaths of g — routing output, session-held slot
 // tables — and skips the O(total path length) revalidation that
 // dominated the one-shot pipeline when run per call. The theorem
-// dispatch is otherwise identical; feeding it paths built against a
-// different graph may panic instead of returning an error.
+// dispatch (dispatchMethod) is otherwise identical; feeding it paths
+// built against a different graph may panic instead of returning an
+// error.
 func ColorDAGPrevalidated(g *digraph.Digraph, fam dipath.Family) (*Result, Method, error) {
-	count := cycles.IndependentCycleCount(g)
-	if count == 0 {
-		res, err := colorNoInternalCycle(g, fam)
-		return res, MethodTheorem1, err
-	}
-	if count == 1 {
+	m := dispatchMethod(g)
+	res, err := colorByMethod(g, fam, m)
+	return res, m, err
+}
+
+// dispatchMethod returns the strongest result whose hypothesis g meets:
+// Theorem 1 when g has no internal cycle, Theorem 6 when g is UPP with
+// exactly one internal cycle, DSATUR otherwise. It depends on g alone
+// and costs O(|V| + |A|) plus the UPP test, so ColorDAG and the
+// incremental colorer's cold recolor both recompute it per call — a
+// live capacity add (AddArc) may change the answer.
+func dispatchMethod(g *digraph.Digraph) Method {
+	switch cycles.IndependentCycleCount(g) {
+	case 0:
+		return MethodTheorem1
+	case 1:
 		if ok, _, _, err := upp.IsUPP(g); err == nil && ok {
-			res, err := colorOneInternalCycleUPP(g, fam)
-			return res, MethodTheorem6, err
+			return MethodTheorem6
 		}
 	}
-	cg := conflict.FromFamily(g, fam)
-	colors := cg.DSATURColoring()
-	return newResult(colors, load.Pi(g, fam)), MethodDSATUR, nil
+	return MethodDSATUR
+}
+
+// colorByMethod colors the prevalidated family fam on g with method m,
+// which dispatchMethod must have chosen for g.
+func colorByMethod(g *digraph.Digraph, fam dipath.Family, m Method) (*Result, error) {
+	switch m {
+	case MethodTheorem1:
+		return colorNoInternalCycle(g, fam)
+	case MethodTheorem6:
+		return colorOneInternalCycleUPP(g, fam)
+	}
+	colors := conflict.FromFamily(g, fam).DSATURColoring()
+	return newResult(colors, load.Pi(g, fam)), nil
 }
 
 // Verify checks that res is a proper wavelength assignment for fam on g

@@ -24,8 +24,8 @@ const defaultRecolorBudget = 4
 // the cold from-scratch pipeline must run again. Only the cold pipeline
 // can discover that χ dropped as the family churned, so the budget is
 // the staleness bound on the ceiling; between cold probes, a gate
-// crossing costs O(Σ degree) instead of a conflict-graph rebuild plus
-// theorem run.
+// crossing costs one warm repack instead of a from-scratch theorem or
+// DSATUR run.
 const warmRecolorBudget = 8
 
 // Incremental maintains a proper wavelength assignment for a mutable
@@ -50,9 +50,14 @@ const warmRecolorBudget = 8
 // classes (class-grouped greedy, never more colors than the seed), and
 // only when that cannot reach the gate — and, on certified-hard
 // instances, only every warmRecolorBudget-th crossing — is the whole
-// live family recolored from scratch through ColorDAG, the strongest
-// applicable theorem, and the incremental state rebuilt from its
-// answer.
+// live family recolored from scratch with the method ColorDAG would
+// pick, and the incremental state rebuilt from its answer. Both recolor
+// passes work on the adjacency bitsets the conflict.Dynamic already
+// keeps: the warm repack's first-fit tests a slot's conflict row against
+// one bitset per color of the pass, word by word, and the cold pass's
+// DSATUR branch runs the conflict package's DSATUR kernel in place,
+// without rebuilding a conflict graph. Both give exactly the colorings
+// the per-neighbour first-fit and ColorDAG give.
 type Incremental struct {
 	g   *digraph.Digraph
 	dyn *conflict.Dynamic
@@ -84,9 +89,11 @@ type Incremental struct {
 	futileLB  int
 	futileTTL int
 
-	// warm-recolor scratch, reused across recolors.
+	// warm-recolor scratch, reused across recolors. classBits holds one
+	// bitset over slots per color of the pass, ⌈NumSlots/64⌉ words each.
 	warmOrder []int
 	classIdx  []int
+	classBits []uint64
 }
 
 // NewIncremental returns an empty incremental colorer for dipaths of g.
@@ -221,6 +228,13 @@ func (ic *Incremental) firstFit(s, limit int) int {
 
 // setColor assigns color c to slot s and updates the class bookkeeping.
 func (ic *Incremental) setColor(s, c int) {
+	// Regrow within capacity first: classes truncated off the top keep
+	// their backing arrays there, so a wavelength that empties and comes
+	// back does not allocate.
+	for len(ic.classes) <= c && len(ic.classes) < cap(ic.classes) {
+		ic.classes = ic.classes[:len(ic.classes)+1]
+		ic.classes[len(ic.classes)-1] = ic.classes[len(ic.classes)-1][:0]
+	}
 	for len(ic.classes) <= c {
 		ic.classes = append(ic.classes, nil)
 	}
@@ -307,10 +321,11 @@ func (ic *Incremental) compactPalette() {
 		if hole < 0 {
 			return
 		}
-		members := append([]int(nil), ic.classes[cmax]...)
-		for _, s := range members {
-			ic.clearColor(s)
-			ic.setColor(s, hole)
+		// Swapping the class slices relabels in place: members keep their
+		// order and positions, and the hole's empty backing array moves up.
+		ic.classes[hole], ic.classes[cmax] = ic.classes[cmax], ic.classes[hole]
+		for _, s := range ic.classes[hole] {
+			ic.colors[s] = hole
 		}
 	}
 }
@@ -354,10 +369,11 @@ func (ic *Incremental) maybeFullRecolor() {
 // a slot in the i-th processed class sees blocked colors only from the
 // first i-1 classes — and in practice packs the palette well below it,
 // because every first-fit runs against the full current neighbourhood
-// instead of the arrival-order prefix that produced the drift. Cost is
-// O(Σ degree) over the live conflict graph, versus the cold pipeline's
-// conflict-graph rebuild plus theorem run, so drifts it absorbs cost a
-// repair, not a spike.
+// instead of the arrival-order prefix that produced the drift. Each
+// first-fit probe is a word-parallel AND of the slot's conflict row with
+// the pass's bitset of one color class, so a slot given color c costs
+// (c+1)·⌈slots/64⌉ word operations at most — a repair, not a spike,
+// next to the cold pipeline's from-scratch run.
 func (ic *Incremental) warmRecolor() {
 	if ic.numUsed == 0 {
 		return
@@ -387,8 +403,20 @@ func (ic *Incremental) warmRecolor() {
 		ic.classes[c] = ic.classes[c][:0]
 	}
 	ic.numUsed = 0
+	// Every slot starts the pass uncolored, so color c is free for s
+	// exactly when s's conflict row misses the pass's class c bitset: a
+	// word-parallel first-fit with the same answer as firstFit.
+	words := (ic.dyn.NumSlots() + 63) / 64
+	ic.classBits = slices.Grow(ic.classBits[:0], limit*words)[:limit*words]
+	clear(ic.classBits)
 	for _, s := range ic.warmOrder {
-		ic.setColor(s, ic.firstFit(s, limit))
+		row := ic.dyn.Row(s)[:words]
+		c := 0
+		for class := ic.classBits; c < limit && !disjoint(row, class); c++ {
+			class = class[words:]
+		}
+		ic.classBits[c*words+s/64] |= 1 << (uint(s) % 64)
+		ic.setColor(s, c)
 	}
 	// First-fit leaves no palette holes: a color is used only when every
 	// lower one was blocked by an already-colored slot, so density holds
@@ -397,9 +425,20 @@ func (ic *Incremental) warmRecolor() {
 	// drift or fell through to the cold pipeline.
 }
 
-// fullRecolor reassigns every live slot from a from-scratch ColorDAG run
-// (falling back to DSATUR on the conflict snapshot if the pipeline
-// errors, which keeps the session alive on adversarial inputs).
+// disjoint reports whether the bitset a shares no bit with the first
+// len(a) words of b.
+func disjoint(a, b []uint64) bool {
+	b = b[:len(a)]
+	for w, bits := range a {
+		if bits&b[w] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// fullRecolor absorbs a slack-gate crossing: the warm repack first, the
+// from-scratch coldRecolor when the repack cannot certify enough.
 func (ic *Incremental) fullRecolor() {
 	// Warm start: reseed from the surviving color classes first. When the
 	// repack alone brings the count back through the slack gate — or back
@@ -439,24 +478,31 @@ func (ic *Incremental) fullRecolor() {
 	ic.coldRecolor()
 }
 
-// coldRecolor is the from-scratch tail of fullRecolor: run the
-// strongest applicable theorem over the live family and rebuild the
-// incremental bookkeeping from its answer.
+// coldRecolor is the from-scratch tail of fullRecolor: color the live
+// family with the method ColorDAG would pick (dispatchMethod, recomputed
+// per call because AddArc may change it) and rebuild the incremental
+// bookkeeping from its answer. The theorem branches run on the live
+// family in slot order. The DSATUR branch — and the fallback when a
+// theorem run errors — colors straight on the conflict.Dynamic bitsets,
+// with no family, conflict-graph rebuild or load pass; the slots
+// increase like the family's indices, so the colors equal ColorDAG's.
 func (ic *Incremental) coldRecolor() {
 	ic.warmSinceCold = 0
-	slots := ic.dyn.LiveSlots()
-	fam := make(dipath.Family, len(slots))
-	for i, s := range slots {
-		fam[i] = ic.dyn.Path(s)
+	var slots, colors []int
+	if m := dispatchMethod(ic.g); m != MethodDSATUR {
+		slots = ic.dyn.LiveSlots()
+		fam := make(dipath.Family, len(slots))
+		for i, s := range slots {
+			fam[i] = ic.dyn.Path(s)
+		}
+		// The live paths were validated when conflict.Dynamic admitted
+		// them, so the cold run skips the per-call family revalidation.
+		if res, err := colorByMethod(ic.g, fam, m); err == nil {
+			colors = res.Colors
+		}
 	}
-	var colors []int
-	// The live paths were validated when conflict.Dynamic admitted them,
-	// so the cold run skips the per-call family revalidation too.
-	if res, _, err := ColorDAGPrevalidated(ic.g, fam); err == nil {
-		colors = res.Colors
-	} else {
-		snap, _ := ic.dyn.Snapshot()
-		colors = snap.DSATURColoring()
+	if colors == nil {
+		slots, colors = ic.dyn.DSATURColoring()
 	}
 	// Rebuild the class bookkeeping from the fresh assignment, then
 	// re-densify: Theorem 6 colorings can skip indices (a permutation

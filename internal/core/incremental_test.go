@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"wavedag/internal/digraph"
 	"wavedag/internal/dipath"
 	"wavedag/internal/gen"
 	"wavedag/internal/load"
@@ -361,4 +362,35 @@ func TestIncrementalEnsureAtMost(t *testing.T) {
 		}
 		checkIncrementalInvariants(t, -2, ic)
 	}
+}
+
+// TestRemoveHoleAllocsNothing pins the zero-allocation steady state of
+// a removal that empties an interior color class: compactPalette
+// relabels the top class into the hole in place. Five copies of one arc
+// form a clique colored 0..4; each run removes the member of class 1
+// (opening a hole that the top class fills) and re-adds the path, which
+// first-fits back to the top color.
+func TestRemoveHoleAllocsNothing(t *testing.T) {
+	g := digraph.New(2)
+	g.MustAddArc(0, 1)
+	p := dipath.MustFromVertices(g, 0, 1)
+	ic := NewIncremental(g, 1)
+	for i := 0; i < 5; i++ {
+		if _, err := ic.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func() {
+		if err := ic.Remove(ic.classes[1][0]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ic.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // first pass sizes the scratch
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("hole-opening Remove + Add allocates %.1f times per run, want 0", allocs)
+	}
+	checkIncrementalInvariants(t, 0, ic)
 }

@@ -637,6 +637,15 @@ type LaneStats struct {
 	// share of recent offers). These drive the adaptive banding gate.
 	Occupancy  float64
 	Saturation float64
+
+	// Recolor counters of the lanes' incremental colorers: slack-gate
+	// drifts absorbed by the warm class-seeded repack, and from-scratch
+	// (cold) recolors. Both are cumulative and 0 under a coloring
+	// strategy that keeps no incremental colorer. On a two-level
+	// component the overlay figures are the serialized lane's recolor
+	// pressure.
+	WarmRecolors int
+	ColdRecolors int
 }
 
 func (l *LaneStats) add(s *Session) {
@@ -654,6 +663,10 @@ func (l *LaneStats) add(s *Session) {
 	l.Revived += fs.Revived
 	l.Promoted += fs.Promoted
 	l.Dark += s.DarkLive()
+	if st, ok := s.coloring.(*incrementalState); ok {
+		l.WarmRecolors += st.ic.WarmRecolors()
+		l.ColdRecolors += st.ic.FullRecolors()
+	}
 }
 
 // EngineStats summarises the engine layout, the two-level lanes'
@@ -1416,26 +1429,4 @@ func (e *ShardedEngine) Provisioning() (*Provisioning, error) {
 	merged.ADMs = countADMs(merged.Paths, merged.Wavelengths)
 	merged.Feasible = e.net.Wavelengths == 0 || merged.NumLambda <= e.net.Wavelengths
 	return merged, nil
-}
-
-// ShardRecolorStats reports a shard's incremental-colorer recolor
-// counters — warm (drifts absorbed by the class-seeded repack) and cold
-// (from-scratch pipeline runs) — when its coloring strategy maintains
-// an incremental colorer; ok is false otherwise. Shards index the
-// flattened layout (plain components, region lanes, overlay lanes; see
-// NumShards). The counters are read under the engine lock, so the call
-// is safe concurrently with batches (handing out the live colorer
-// itself would not be).
-func (e *ShardedEngine) ShardRecolorStats(shard int) (warm, cold int, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if shard < 0 || shard >= len(e.shards) {
-		return 0, 0, false
-	}
-	st, ok := e.shards[shard].sess.coloring.(*incrementalState)
-	if !ok {
-		return 0, 0, false
-	}
-	ic := st.Incremental()
-	return ic.WarmRecolors(), ic.FullRecolors(), true
 }

@@ -636,3 +636,53 @@ func TestEngineClose(t *testing.T) {
 		t.Fatalf("frozen provisioning has %d paths for %d live requests", len(prov.Paths), eng.Len())
 	}
 }
+
+// TestLaneRecolorCounts pins the per-lane recolor counters: churn on a
+// glued component with slack 1 drifts the overlay lane's incremental
+// colorer past its slack gate, so the overlay's warm and cold recolor
+// counts must both be non-zero; the same churn under the deferred full
+// coloring strategy keeps no incremental colorer and reports 0.
+func TestLaneRecolorCounts(t *testing.T) {
+	net := giantComponentNetwork(t, 5, 211)
+	for _, name := range []string{ColoringIncremental, ColoringFull} {
+		t.Run(name, func(t *testing.T) {
+			eng := twoLevelEngine(t, net,
+				WithShardSessionOptions(WithColoringStrategyName(name), WithSlack(1)))
+			defer eng.Close()
+			pool := route.NewRouter(net.Topology).AllToAll()
+			rng := rand.New(rand.NewSource(23))
+			var live []ShardedID
+			for op := 0; op < 3000; op++ {
+				if len(live) == 0 || (rng.Intn(3) != 0 && len(live) < 200) {
+					id, err := eng.Add(pool[rng.Intn(len(pool))])
+					if err != nil {
+						t.Fatal(err)
+					}
+					live = append(live, id)
+				} else {
+					k := rng.Intn(len(live))
+					if err := eng.Remove(live[k]); err != nil {
+						t.Fatal(err)
+					}
+					live[k] = live[len(live)-1]
+					live = live[:len(live)-1]
+				}
+			}
+			st := eng.Stats()
+			t.Logf("overlay warm %d cold %d, region warm %d cold %d",
+				st.Overlay.WarmRecolors, st.Overlay.ColdRecolors, st.Region.WarmRecolors, st.Region.ColdRecolors)
+			if name == ColoringFull {
+				for _, l := range []LaneStats{st.Plain, st.Region, st.Overlay} {
+					if l.WarmRecolors != 0 || l.ColdRecolors != 0 {
+						t.Fatalf("full coloring reports recolors: %+v", l)
+					}
+				}
+				return
+			}
+			if st.Overlay.WarmRecolors == 0 || st.Overlay.ColdRecolors == 0 {
+				t.Fatalf("overlay recolors warm %d cold %d, want both > 0",
+					st.Overlay.WarmRecolors, st.Overlay.ColdRecolors)
+			}
+		})
+	}
+}

@@ -244,7 +244,8 @@
 // components band the budget — region lanes admit against w minus the
 // overlay slice (WithOverlayBudgetSlice, default w/4), the overlay lane
 // against its slice — so the banded aggregation can never exceed w.
-// Per-lane admission outcomes and traffic shares aggregate into
+// Per-lane admission outcomes, traffic shares and incremental-colorer
+// recolor counts (warm repacks and cold recolors) aggregate into
 // EngineStats (LaneStats for plain/region/overlay), making overlay
 // pressure observable without a profiler.
 //
@@ -548,8 +549,8 @@ type (
 	// EngineStats summarises a ShardedEngine's layout, per-lane traffic
 	// shares and admission outcomes (see ShardedEngine.Stats).
 	EngineStats = wdm.EngineStats
-	// LaneStats aggregates one engine lane flavour's traffic and
-	// admission outcomes.
+	// LaneStats aggregates one engine lane flavour's traffic,
+	// admission outcomes and recolor counts.
 	LaneStats = wdm.LaneStats
 	// EngineSnapshot is one atomically-published immutable image of a
 	// ShardedEngine at a mutation boundary — the substrate of the
